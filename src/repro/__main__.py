@@ -40,12 +40,10 @@ Commands:
 
 Both ``diversify`` and ``serve`` share one engine-policy flag set
 (:func:`repro.api.add_engine_config_args`: ``--storage`` / ``--dtype``
-/ ``--workers`` (an int or ``auto``) / ``--parallel`` /
-``--max-resident-tiles`` / ``--max-resident-bytes`` / ``--spill-dir``
-/ ``--spill-mode`` / ``--max-warm-pools`` / ``--warm-pool-ttl``
-/ ``--block-size`` / ``--cache-size`` /
-``--patch-threshold`` / ``--sketch-columns`` / ``--landmarks`` /
-``--approx``), layered over ``REPRO_*`` environment variables
+/ ``--workers`` (an int or ``auto``) / ``--max-resident-tiles`` /
+``--max-resident-bytes`` / ``--spill-dir`` / ``--block-size`` /
+``--cache-size`` / ``--patch-threshold`` / ``--sketch-columns`` /
+``--landmarks`` / ``--approx``), layered over ``REPRO_*`` environment variables
 (:meth:`repro.api.EngineConfig.from_env`).  Any non-default policy
 routes through a dedicated engine memoized on the
 :class:`~repro.api.EngineConfig`, so repeated invocations still reuse

@@ -7,13 +7,14 @@ duplicated across :class:`~repro.engine.engine.DiversificationEngine`,
 :func:`~repro.engine.kernel.kernel_for_instance` and the CLI's argparse
 wiring.  This module collapses that sprawl into three value objects:
 
-* :class:`EngineConfig` — the frozen engine policy bundle.  Constructed
-  directly, from parsed CLI args (:meth:`EngineConfig.from_args`, with
-  the flags added by :func:`add_engine_config_args`), or from
-  ``REPRO_*`` environment variables (:meth:`EngineConfig.from_env`).
-  ``DiversificationEngine(config=...)`` and
-  ``kernel_for_instance(..., config=...)`` consume it; the old loose
-  kwargs keep working through a shim that emits ``DeprecationWarning``.
+* :class:`EngineConfig` — the frozen engine policy bundle and the one
+  storage plan: constructed directly, from parsed CLI args
+  (:meth:`EngineConfig.from_args`, with the flags added by
+  :func:`add_engine_config_args`), or from ``REPRO_*`` environment
+  variables (:meth:`EngineConfig.from_env`), and checked in exactly one
+  place (:meth:`EngineConfig.validate`).  ``DiversificationEngine``,
+  ``ScoringKernel``, ``kernel_for_instance`` and the storage layer all
+  take it as ``config=``.
 * :class:`DiversifyRequest` — one diversification request: either an
   in-process :class:`~repro.core.instance.DiversificationInstance` or a
   wire-friendly ``(workload, params)`` pair resolved through the
@@ -24,12 +25,6 @@ wiring.  This module collapses that sprawl into three value objects:
   value, snapshot index list, rows, and cache provenance (computed /
   coalesced / cached), with a stable JSON round-trip
   (:meth:`DiversifyResponse.to_dict` / ``from_dict``, NaN → null).
-
-Deprecation policy: the loose keyword surface
-(``DiversificationEngine(storage=..., dtype=..., ...)``) remains
-functional and float-for-float equivalent to the config path for at
-least one minor release after the warning appeared; new knobs are added
-to :class:`EngineConfig` only.
 """
 
 from __future__ import annotations
@@ -112,7 +107,7 @@ def canonical_params(params: Mapping[str, Any] | None) -> tuple:
 # -- EngineConfig ----------------------------------------------------------
 
 
-def _workers_value(raw: str, label: str = "workers") -> int | str:
+def _workers_value(raw: str) -> int | str:
     """Parse a ``--workers`` / ``REPRO_WORKERS`` value: an int or
     ``"auto"`` (the host CPU count, resolved at build time)."""
     if raw.strip().lower() == "auto":
@@ -120,35 +115,50 @@ def _workers_value(raw: str, label: str = "workers") -> int | str:
     try:
         return int(raw)
     except ValueError:
-        raise ApiError(
-            f"{label} must be an integer or 'auto', got {raw!r}"
-        ) from None
+        raise ApiError(f"workers must be an integer or 'auto', got {raw!r}") from None
+
+
+def _bool_value(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+#: ``EngineConfig`` field annotation → (parser of its ``REPRO_*``
+#: string form, what the parser expects).  A field with an annotation
+#: missing here fails :meth:`EngineConfig.from_env` loudly.
+_ENV_PARSERS: dict[str, tuple[Any, str]] = {
+    "str | None": (str, "a string"),
+    "int | None": (int, "an integer"),
+    "int": (int, "an integer"),
+    "float": (float, "a float"),
+    "bool": (_bool_value, "a boolean"),
+    "int | str | None": (_workers_value, "an integer or 'auto'"),
+}
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """The engine's policy knobs as one frozen, hashable value.
-
-    Field semantics are exactly the historical loose kwargs of
-    :class:`~repro.engine.engine.DiversificationEngine`:
+    """The engine's policy knobs as one frozen, hashable value — the one
+    storage plan every layer below the engine reads.
 
     * ``storage`` — kernel distance-matrix layout (``"dense"`` default /
       ``"tiled"`` / ``"sketched"``); ``dtype`` — at-rest tile dtype
-      (tiled only); ``workers`` — pool width for parallel tile builds
-      (an int, or ``"auto"`` for the host CPU count resolved at build
-      time); ``parallel`` — how a multi-worker build fans out
-      (``"thread"`` default, ``"process"`` for true multicore via a
-      process pool when the scoring snapshot pickles);
-      ``block_size`` — rows per tile of the blocked construction;
+      (tiled only); ``block_size`` — rows per tile of the blocked
+      construction;
+    * ``workers`` — worker-process count for full tiled builds (an int,
+      or ``"auto"`` for the host CPU count resolved at build time).
+      Only the pure-Python backend fans out, through a warm process
+      pool when the scoring snapshot pickles (serially otherwise); the
+      NumPy backend always builds serially, which measured faster;
     * ``max_resident_tiles`` / ``max_resident_bytes`` — LRU bound on
       tiles resident in memory (tiled only; evicted tiles rebuild on
-      touch); ``spill_dir`` — spill evicted tiles to disk instead of
-      rebuilding them; ``spill_mode`` — how spilled tiles come back
-      (``"file"`` default rehydrates whole tiles, ``"mmap"`` reads row
-      windows from a per-kernel segment file, byte-exact either way);
-    * ``max_warm_pools`` / ``warm_pool_ttl`` — the process-wide warm
-      pool registry for ``parallel="process"`` builds (pools kept
-      alive between builds of one snapshot; 0 disables warm pooling);
+      touch); ``spill_dir`` — spill evicted tiles to a per-kernel
+      segment file instead of rebuilding them (row reads come back
+      through byte-exact mapped windows);
     * ``patch_threshold`` — largest stale-kernel delta (fraction of n)
       that is patched in place rather than rebuilt;
     * ``cache_size`` — LRU bound on live kernels per engine;
@@ -164,13 +174,9 @@ class EngineConfig:
     storage: str | None = None
     dtype: str | None = None
     workers: int | str | None = None
-    parallel: str | None = None
     max_resident_tiles: int | None = None
     max_resident_bytes: int | None = None
     spill_dir: str | None = None
-    spill_mode: str | None = None
-    max_warm_pools: int | None = None
-    warm_pool_ttl: float | None = None
     block_size: int | None = None
     patch_threshold: float = 0.5
     cache_size: int = 8
@@ -179,100 +185,68 @@ class EngineConfig:
     approx: bool = False
 
     def validate(self) -> "EngineConfig":
-        """Check the knob combination; raises :class:`ApiError`.
-
-        The messages mirror the engine's historical constructor errors
-        (the engine re-raises them as ``EngineError``).
-        """
+        """Check every knob and knob combination; raises
+        :class:`ApiError`.  This is the only check on these knobs: the
+        engine re-raises its error as ``EngineError``, the kernel as
+        ``KernelError``."""
+        from .core.providers import LANDMARK_STRATEGIES
         from .engine.storage import STORAGE_DTYPES, STORAGE_KINDS
 
+        storage = self.storage or "dense"
+        dtype = self.dtype or "float64"
         if self.cache_size < 1:
             raise ApiError(f"cache_size must be >= 1, got {self.cache_size}")
         if self.patch_threshold < 0.0:
             raise ApiError(
                 f"patch_threshold must be >= 0, got {self.patch_threshold}"
             )
-        if self.block_size is not None and self.block_size < 1:
-            raise ApiError(f"block_size must be >= 1, got {self.block_size}")
-        if self.storage is not None and self.storage not in STORAGE_KINDS:
+        if storage not in STORAGE_KINDS:
             raise ApiError(
                 f"unknown storage {self.storage!r}; choose one of {STORAGE_KINDS}"
             )
-        if self.dtype is not None and self.dtype not in STORAGE_DTYPES:
+        if dtype not in STORAGE_DTYPES:
             raise ApiError(
                 f"unknown dtype {self.dtype!r}; choose one of {STORAGE_DTYPES}"
             )
-        if (self.dtype or "float64") != "float64" and (
-            self.storage or "dense"
-        ) == "dense":
-            raise ApiError(
-                "dense storage is float64-only; pass storage='tiled' with "
-                f"dtype={self.dtype!r}"
-            )
-        from .engine.parallel import validate_parallel, validate_workers
-
-        validate_workers(self.workers, ApiError)
-        validate_parallel(self.parallel, ApiError)
-        if (
-            isinstance(self.workers, int)
-            and self.workers > 1
-            and (self.storage or "dense") == "dense"
-        ):
-            raise ApiError(
-                "dense storage builds serially; pass storage='tiled' with "
-                f"workers={self.workers}"
-            )
-        if self.parallel == "process" and (self.storage or "dense") == "dense":
-            raise ApiError(
-                "dense storage builds serially; pass storage='tiled' with "
-                "parallel='process'"
-            )
-        for name in ("max_resident_tiles", "max_resident_bytes"):
-            budget = getattr(self, name)
-            if budget is not None and budget < 1:
-                raise ApiError(f"{name} must be >= 1, got {budget}")
-        if self.spill_mode is not None:
-            from .engine.storage import SPILL_MODES
-
-            if self.spill_mode not in SPILL_MODES:
+        workers = self.workers
+        if workers not in (None, "auto") and (type(workers) is not int or workers < 1):
+            raise ApiError(f"workers must be an int >= 1 or 'auto', got {workers!r}")
+        for name in ("block_size", "max_resident_tiles", "max_resident_bytes"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ApiError(f"{name} must be >= 1, got {value}")
+        if storage == "dense":
+            # Dense stays the plain float64 parity baseline; the other
+            # knobs only pay once the matrix is no longer one allocation.
+            # ``workers="auto"`` is allowed (it resolves to serial here).
+            if dtype != "float64":
                 raise ApiError(
-                    f"unknown spill_mode {self.spill_mode!r}; "
-                    f"choose one of {SPILL_MODES}"
+                    "dense storage is float64-only; pass storage='tiled' with "
+                    f"dtype={self.dtype!r}"
                 )
-            if self.spill_mode == "mmap" and self.spill_dir is None:
+            if isinstance(workers, int) and workers > 1:
                 raise ApiError(
-                    "spill_mode='mmap' maps spilled tiles back from disk "
-                    "and needs spill_dir set"
+                    "dense storage builds serially; pass storage='tiled' with "
+                    f"workers={workers}"
                 )
-        if self.max_warm_pools is not None and self.max_warm_pools < 0:
-            raise ApiError(
-                f"max_warm_pools must be >= 0, got {self.max_warm_pools}"
-            )
-        if self.warm_pool_ttl is not None and self.warm_pool_ttl <= 0:
-            raise ApiError(
-                f"warm_pool_ttl must be > 0, got {self.warm_pool_ttl}"
-            )
-        if (self.storage or "dense") == "dense" and (
-            self.max_resident_tiles is not None
-            or self.max_resident_bytes is not None
-            or self.spill_dir is not None
-            or self.spill_mode is not None
-        ):
-            # Sketched kernels keep their exact-read fallback on a tiled
-            # grid, so budgets apply there too; only the eager dense
-            # layout has nothing to bound.
-            raise ApiError(
-                "dense storage is one eager allocation and cannot spill; "
-                "pass storage='tiled' for tile budgets / spill_dir / "
-                "spill_mode"
-            )
-        if (self.dtype or "float64") != "float64" and self.storage == "sketched":
+            if (
+                self.max_resident_tiles is not None
+                or self.max_resident_bytes is not None
+                or self.spill_dir is not None
+            ):
+                # Sketched kernels keep their exact-read fallback on a
+                # tiled grid, so budgets apply there too.
+                raise ApiError(
+                    "dense storage is one eager allocation and cannot spill; "
+                    "pass storage='tiled' for tile budgets / spill_dir"
+                )
+        if storage == "sketched" and dtype != "float64":
             raise ApiError(
                 "sketched storage keeps exact float64 landmark columns; "
                 f"dtype={self.dtype!r} is tiled-only"
             )
         if self.sketch_columns is not None:
-            if self.storage != "sketched":
+            if storage != "sketched":
                 raise ApiError(
                     "sketch_columns only applies to storage='sketched', "
                     f"got storage={self.storage!r}"
@@ -282,9 +256,7 @@ class EngineConfig:
                     f"sketch_columns must be >= 2, got {self.sketch_columns}"
                 )
         if self.landmarks is not None:
-            from .core.providers import LANDMARK_STRATEGIES
-
-            if self.storage != "sketched":
+            if storage != "sketched":
                 raise ApiError(
                     "landmarks only applies to storage='sketched', "
                     f"got storage={self.storage!r}"
@@ -294,7 +266,7 @@ class EngineConfig:
                     f"unknown landmark strategy {self.landmarks!r}; "
                     f"choose one of {LANDMARK_STRATEGIES}"
                 )
-        if self.approx and self.storage != "sketched":
+        if self.approx and storage != "sketched":
             raise ApiError(
                 "approx selection runs over a sketch plan; pass "
                 "storage='sketched' (optionally with sketch_columns/landmarks)"
@@ -312,23 +284,16 @@ class EngineConfig:
         per-config engine table, equality against ``EngineConfig()`` —
         sees one identity per *behavior* rather than per spelling.
         """
-        from .engine.kernel import DEFAULT_BLOCK_SIZE
+        from .engine.storage import DEFAULT_BLOCK_SIZE
 
-        overrides: dict[str, Any] = {}
-        if self.storage == "dense":
-            overrides["storage"] = None
-        if self.dtype == "float64":
-            overrides["dtype"] = None
-        if self.workers == 1:
-            overrides["workers"] = None
-        if self.parallel == "thread":
-            overrides["parallel"] = None
-        if self.spill_mode == "file":
-            overrides["spill_mode"] = None
-        if self.block_size == DEFAULT_BLOCK_SIZE:
-            overrides["block_size"] = None
-        if self.landmarks == "uniform":
-            overrides["landmarks"] = None
+        defaults = {
+            "storage": "dense",
+            "dtype": "float64",
+            "workers": 1,
+            "block_size": DEFAULT_BLOCK_SIZE,
+            "landmarks": "uniform",
+        }
+        overrides = {name: None for name, value in defaults.items() if getattr(self, name) == value}
         return replace(self, **overrides) if overrides else self
 
     # -- construction helpers ---------------------------------------------
@@ -340,18 +305,14 @@ class EngineConfig:
         base: "EngineConfig | None" = None,
     ) -> "EngineConfig":
         """The config selected by the flags of
-        :func:`add_engine_config_args`; flags left unset fall back to
-        ``base`` (e.g. :meth:`from_env`) or the dataclass defaults."""
+        :func:`add_engine_config_args` (one per field, named after it);
+        flags left unset fall back to ``base`` (e.g. :meth:`from_env`)
+        or the dataclass defaults."""
         config = base if base is not None else cls()
         overrides = {
-            name: value
-            for name in ("storage", "dtype", "workers", "parallel",
-                         "max_resident_tiles", "max_resident_bytes",
-                         "spill_dir", "spill_mode",
-                         "max_warm_pools", "warm_pool_ttl", "block_size",
-                         "patch_threshold", "cache_size",
-                         "sketch_columns", "landmarks", "approx")
-            if (value := getattr(args, name, None)) is not None
+            spec.name: value
+            for spec in fields(cls)
+            if (value := getattr(args, spec.name, None)) is not None
         }
         return replace(config, **overrides)
 
@@ -360,53 +321,22 @@ class EngineConfig:
         cls, environ: Mapping[str, str] | None = None
     ) -> "EngineConfig":
         """The config selected by ``REPRO_<FIELD>`` environment
-        variables (``REPRO_STORAGE``, ``REPRO_DTYPE``, ``REPRO_WORKERS``
-        — an int or ``auto`` —, ``REPRO_PARALLEL``,
-        ``REPRO_MAX_RESIDENT_TILES``, ``REPRO_MAX_RESIDENT_BYTES``,
-        ``REPRO_SPILL_DIR``, ``REPRO_SPILL_MODE``,
-        ``REPRO_MAX_WARM_POOLS``, ``REPRO_WARM_POOL_TTL``,
-        ``REPRO_BLOCK_SIZE``, ``REPRO_PATCH_THRESHOLD``,
-        ``REPRO_CACHE_SIZE``, ``REPRO_SKETCH_COLUMNS``,
-        ``REPRO_LANDMARKS``, ``REPRO_APPROX``) — the deployment-facing
-        twin of :meth:`from_args`."""
+        variables, one per field (``REPRO_STORAGE``, ``REPRO_WORKERS`` —
+        an int or ``auto`` —, ``REPRO_SPILL_DIR``, ``REPRO_APPROX`` — a
+        boolean —, …), each parsed by its field's type — the
+        deployment-facing twin of :meth:`from_args`."""
         env = os.environ if environ is None else environ
         overrides: dict[str, Any] = {}
         for spec in fields(cls):
-            raw = env.get(f"REPRO_{spec.name.upper()}")
+            name = f"REPRO_{spec.name.upper()}"
+            raw = env.get(name)
             if raw is None or raw == "":
                 continue
-            if spec.name == "approx":
-                lowered = raw.strip().lower()
-                if lowered in ("1", "true", "yes", "on"):
-                    overrides[spec.name] = True
-                elif lowered in ("0", "false", "no", "off"):
-                    overrides[spec.name] = False
-                else:
-                    raise ApiError(
-                        f"REPRO_APPROX must be a boolean, got {raw!r}"
-                    )
-            elif spec.name == "workers":
-                overrides[spec.name] = _workers_value(raw, "REPRO_WORKERS")
-            elif spec.name in (
-                "block_size", "cache_size", "sketch_columns",
-                "max_resident_tiles", "max_resident_bytes",
-                "max_warm_pools",
-            ):
-                try:
-                    overrides[spec.name] = int(raw)
-                except ValueError:
-                    raise ApiError(
-                        f"REPRO_{spec.name.upper()} must be an integer, got {raw!r}"
-                    ) from None
-            elif spec.name in ("patch_threshold", "warm_pool_ttl"):
-                try:
-                    overrides[spec.name] = float(raw)
-                except ValueError:
-                    raise ApiError(
-                        f"REPRO_{spec.name.upper()} must be a float, got {raw!r}"
-                    ) from None
-            else:
-                overrides[spec.name] = raw
+            parse, expected = _ENV_PARSERS[spec.type]
+            try:
+                overrides[spec.name] = parse(raw)
+            except ValueError:
+                raise ApiError(f"{name} must be {expected}, got {raw!r}") from None
         return replace(cls(), **overrides)
 
     # -- serialization ----------------------------------------------------
@@ -448,18 +378,9 @@ def add_engine_config_args(parser: "argparse.ArgumentParser") -> None:
         type=_workers_value,
         default=None,
         metavar="N|auto",
-        help="pool width for parallel tiled-matrix builds: an int, or "
-        "'auto' for the host CPU count (resolved at build time)",
-    )
-    parser.add_argument(
-        "--parallel",
-        choices=["thread", "process"],
-        default=None,
-        help="how multi-worker builds fan out: thread (default; wins "
-        "when provider blocks release the GIL) or process (true "
-        "multicore — tiles score in worker processes and return via "
-        "shared memory; falls back to threads when the scoring "
-        "functions cannot be pickled)",
+        help="worker processes for full tiled-matrix builds on the "
+        "pure-Python backend: an int, or 'auto' for the host CPU count "
+        "(resolved at build time); the NumPy backend builds serially",
     )
     parser.add_argument(
         "--max-resident-tiles",
@@ -481,34 +402,9 @@ def add_engine_config_args(parser: "argparse.ArgumentParser") -> None:
         "--spill-dir",
         default=None,
         metavar="DIR",
-        help="spill evicted tiles to files under DIR instead of "
-        "rebuilding them on touch (tiled storage with a tile budget)",
-    )
-    parser.add_argument(
-        "--spill-mode",
-        choices=["file", "mmap"],
-        default=None,
-        help="how spilled tiles come back: file (default; rehydrate "
-        "whole tiles) or mmap (row reads map only the bytes they need "
-        "from a per-kernel segment file; byte-exact; requires "
-        "--spill-dir)",
-    )
-    parser.add_argument(
-        "--max-warm-pools",
-        type=int,
-        default=None,
-        metavar="N",
-        help="process pools kept warm between parallel=process builds "
-        "of one scoring snapshot (LRU; default 4; 0 creates/tears down "
-        "a pool per build)",
-    )
-    parser.add_argument(
-        "--warm-pool-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="idle seconds before a warm process pool is shut down "
-        "(default 300)",
+        help="spill evicted tiles to a per-kernel segment file under DIR "
+        "instead of rebuilding them on touch; row reads map only the "
+        "bytes they need (tiled storage with a tile budget)",
     )
     parser.add_argument(
         "--block-size",

@@ -30,14 +30,14 @@ plain callables), and the distance matrix is assembled from tiled
 Where the matrix *lives* is pluggable (:mod:`repro.engine.storage`):
 :class:`DenseStorage` is the historical single contiguous float64
 allocation, :class:`TiledStorage` keeps it as a lazy grid of tiles —
-built on first touch, optionally in parallel (``workers=``, over
-threads or — via ``parallel="process"`` and
-:mod:`repro.engine.parallel` — worker processes with shared-memory
-tile return), optionally float32 at rest (``dtype=``), optionally
-LRU-bounded in memory (``max_resident_tiles=`` / ``max_resident_bytes=``
-with rebuild-on-touch or ``spill_dir=`` disk spill) — selected by the
-``storage``/``dtype``/``workers`` knobs on :class:`ScoringKernel`,
-:func:`kernel_for_instance` and :class:`DiversificationEngine`.
+built on first touch, across worker processes on the pure-Python
+backend (``workers=``, :mod:`repro.engine.parallel`), optionally
+float32 at rest (``dtype=``), optionally LRU-bounded in memory
+(``max_resident_tiles=`` / ``max_resident_bytes=`` with rebuild-on-touch
+or a ``spill_dir=`` segment file) — all planned by the one
+:class:`~repro.api.EngineConfig` that :class:`ScoringKernel`,
+:func:`kernel_for_instance` and :class:`DiversificationEngine` take as
+``config=``.
 
 Whether a matrix is needed *at all* is negotiated: selectors declare a
 :class:`~repro.algorithms.substrate.KernelAccess` level, and kernels
@@ -61,22 +61,19 @@ from .engine import (
     variants_grid,
 )
 from .kernel import (
-    DEFAULT_BLOCK_SIZE,
     KernelError,
     ScoringKernel,
     kernel_for_instance,
     numpy_available,
 )
 from .parallel import (
-    PARALLEL_MODES,
     WarmPoolRegistry,
     available_cpus,
     resolve_workers,
-    supports_process_pool,
     warm_pool_registry,
 )
 from .storage import (
-    SPILL_MODES,
+    DEFAULT_BLOCK_SIZE,
     STORAGE_DTYPES,
     STORAGE_KINDS,
     DenseStorage,
@@ -98,8 +95,6 @@ __all__ = [
     "KernelDelta",
     "KernelError",
     "KernelStorage",
-    "PARALLEL_MODES",
-    "SPILL_MODES",
     "STORAGE_DTYPES",
     "STORAGE_KINDS",
     "ScoringKernel",
@@ -117,7 +112,6 @@ __all__ = [
     "numpy_available",
     "reset_default_engine",
     "resolve_workers",
-    "supports_process_pool",
     "variants_grid",
     "warm_pool_registry",
 ]

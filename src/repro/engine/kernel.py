@@ -24,14 +24,16 @@ rows per tile, symmetric tiles computed once and mirrored), so a
 vectorizing provider fills it with a handful of array operations instead
 of n(n−1)/2 interpreter-bound calls.
 
-*Where* the matrix lives is pluggable (:mod:`repro.engine.storage`):
+*Where* the matrix lives is pluggable (:mod:`repro.engine.storage`) and
+planned by one validated :class:`~repro.api.EngineConfig` (``config=``):
 ``storage="dense"`` (default) keeps the historical single contiguous
 float64 allocation; ``storage="tiled"`` keeps the matrix as a lazy grid
-of tiles — built on first touch, optionally in parallel
-(``workers=``), optionally narrowed to float32 at rest (``dtype=``) —
-which removes the O(n²)-contiguous-allocation ceiling on pool size.
-Every matrix read/write below delegates through the storage object, and
-reductions always run in float64 regardless of the storage dtype.
+of tiles — built on first touch, across worker processes on the
+pure-Python backend (``workers=``), optionally narrowed to float32 at
+rest (``dtype=``) — which removes the O(n²)-contiguous-allocation
+ceiling on pool size.  Every matrix read/write below delegates through
+the storage object, and reductions always run in float64 regardless of
+the storage dtype.
 
 The kernel is NumPy-backed when NumPy is importable and falls back to a
 pure-Python implementation with identical semantics otherwise (the
@@ -48,6 +50,7 @@ import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from ..api import EngineConfig
 from ..core.evaluator import (
     max_min_value,
     max_sum_value,
@@ -55,18 +58,10 @@ from ..core.evaluator import (
     mono_item_score,
 )
 from ..core.objectives import Objective, ObjectiveError, ObjectiveKind
-from ..core.providers import LANDMARK_STRATEGIES, provider_for
+from ..core.providers import provider_for
 from ..relational.schema import Row, row_sort_key
-from .parallel import validate_parallel, validate_workers, warm_pool_registry
-from .storage import (
-    SPILL_MODES,
-    STORAGE_DTYPES,
-    STORAGE_KINDS,
-    KernelStorage,
-    SketchedStorage,
-    TiledStorage,
-    make_storage,
-)
+from .parallel import warm_pool_registry
+from .storage import KernelStorage, SketchedStorage, TiledStorage, make_storage
 
 if TYPE_CHECKING:
     from ..core.instance import DiversificationInstance
@@ -75,11 +70,6 @@ try:
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI cell
     _np = None
-
-#: Rows per tile of the blocked distance-matrix construction.  Large
-#: enough that NumPy per-call overhead amortizes, small enough that a
-#: tile's feature matrices stay cache-friendly.
-DEFAULT_BLOCK_SIZE = 256
 
 
 def numpy_available() -> bool:
@@ -115,10 +105,12 @@ class ScoringKernel:
     cost, keeping the kernel element-wise equal to a fresh rebuild.
 
     The distance matrix lives behind a
-    :class:`~repro.engine.storage.KernelStorage` selected by the
-    ``storage`` / ``dtype`` / ``workers`` policy knobs; selectors only
-    ever touch the accessor methods below, so the storage layout is
-    invisible to them.
+    :class:`~repro.engine.storage.KernelStorage` planned by ``config``
+    (an :class:`~repro.api.EngineConfig`; ``None`` is the default
+    dense plan); selectors only ever touch the accessor methods below,
+    so the storage layout is invisible to them.  An invalid config
+    raises :class:`KernelError` with :meth:`EngineConfig.validate`'s
+    message.
     """
 
     __slots__ = (
@@ -127,19 +119,9 @@ class ScoringKernel:
         "relevance",
         "distance",
         "provider",
-        "block_size",
+        "config",
         "storage_kind",
         "dtype",
-        "workers",
-        "parallel",
-        "max_resident_tiles",
-        "max_resident_bytes",
-        "spill_dir",
-        "spill_mode",
-        "max_warm_pools",
-        "warm_pool_ttl",
-        "sketch_columns",
-        "landmarks",
         "answers",
         "n",
         "backend",
@@ -156,19 +138,7 @@ class ScoringKernel:
         instance: "DiversificationInstance",
         use_numpy: bool | None = None,
         defer_distances: bool = False,
-        block_size: int | None = None,
-        storage: str | None = None,
-        dtype: str | None = None,
-        workers: "int | str | None" = None,
-        parallel: str | None = None,
-        max_resident_tiles: int | None = None,
-        max_resident_bytes: int | None = None,
-        spill_dir: str | None = None,
-        spill_mode: str | None = None,
-        max_warm_pools: int | None = None,
-        warm_pool_ttl: float | None = None,
-        sketch_columns: int | None = None,
-        landmarks: str | None = None,
+        config: EngineConfig | None = None,
     ):
         if use_numpy is None:
             use_numpy = _np is not None
@@ -177,126 +147,21 @@ class ScoringKernel:
                 "use_numpy=True requested but numpy is not installed; "
                 "pass use_numpy=None (auto) or False for the pure-Python backend"
             )
-        if block_size is None:
-            block_size = DEFAULT_BLOCK_SIZE
-        elif block_size < 1:
-            raise KernelError(f"block_size must be >= 1, got {block_size}")
-        if storage is None:
-            storage = "dense"
-        if storage not in STORAGE_KINDS:
-            raise KernelError(
-                f"unknown storage {storage!r}; choose one of {STORAGE_KINDS}"
-            )
-        if dtype is None:
-            dtype = "float64"
-        if dtype not in STORAGE_DTYPES:
-            raise KernelError(
-                f"unknown dtype {dtype!r}; choose one of {STORAGE_DTYPES}"
-            )
-        if storage == "dense" and dtype != "float64":
-            raise KernelError(
-                "dense storage is float64-only (the bit-exact parity "
-                "baseline); use storage='tiled' for dtype='float32'"
-            )
-        workers = validate_workers(workers, KernelError)
-        parallel = validate_parallel(parallel, KernelError)
-        if max_resident_tiles is not None and max_resident_tiles < 1:
-            raise KernelError(
-                f"max_resident_tiles must be >= 1, got {max_resident_tiles}"
-            )
-        if max_resident_bytes is not None and max_resident_bytes < 1:
-            raise KernelError(
-                f"max_resident_bytes must be >= 1, got {max_resident_bytes}"
-            )
-        if spill_mode is not None and spill_mode not in SPILL_MODES:
-            raise KernelError(
-                f"unknown spill_mode {spill_mode!r}; choose one of {SPILL_MODES}"
-            )
-        if spill_mode == "mmap" and spill_dir is None:
-            raise KernelError(
-                "spill_mode='mmap' maps spilled tiles back from disk and "
-                "needs spill_dir set"
-            )
-        if max_warm_pools is not None and max_warm_pools < 0:
-            raise KernelError(
-                f"max_warm_pools must be >= 0, got {max_warm_pools}"
-            )
-        if warm_pool_ttl is not None and warm_pool_ttl <= 0:
-            raise KernelError(
-                f"warm_pool_ttl must be > 0, got {warm_pool_ttl}"
-            )
-        if storage == "dense":
-            # "auto" is allowed everywhere (it resolves at build time,
-            # which for dense means "serial"); only an explicit request
-            # for multi-worker / process / spilling builds is a
-            # contradiction with the eager contiguous layout.
-            if isinstance(workers, int) and workers > 1:
-                raise KernelError(
-                    "dense storage builds serially; use storage='tiled' for "
-                    f"workers={workers}"
-                )
-            if parallel == "process":
-                raise KernelError(
-                    "dense storage builds serially; use storage='tiled' for "
-                    "parallel='process'"
-                )
-            if (
-                max_resident_tiles is not None
-                or max_resident_bytes is not None
-                or spill_dir is not None
-                or spill_mode is not None
-            ):
-                raise KernelError(
-                    "dense storage is one eager allocation and cannot "
-                    "spill; use storage='tiled' for tile budgets / "
-                    "spill_dir / spill_mode"
-                )
-        if storage == "sketched" and dtype != "float64":
-            raise KernelError(
-                "sketched storage keeps its landmark columns (and the "
-                "tiled exact-read fallback) in float64; dtype="
-                f"{dtype!r} is not supported with storage='sketched'"
-            )
-        if sketch_columns is not None:
-            if storage != "sketched":
-                raise KernelError(
-                    "sketch_columns only applies to storage='sketched', "
-                    f"got storage={storage!r}"
-                )
-            if sketch_columns < 2:
-                raise KernelError(
-                    f"sketch_columns must be >= 2, got {sketch_columns}"
-                )
-        if landmarks is not None:
-            if storage != "sketched":
-                raise KernelError(
-                    "landmarks only applies to storage='sketched', "
-                    f"got storage={storage!r}"
-                )
-            if landmarks not in LANDMARK_STRATEGIES:
-                raise KernelError(
-                    f"unknown landmark strategy {landmarks!r}; choose one "
-                    f"of {LANDMARK_STRATEGIES}"
-                )
+        if config is None:
+            config = EngineConfig()
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise KernelError(str(exc)) from None
         objective = instance.objective
         self.query = instance.query
         self.db = instance.db
         self.relevance = objective.relevance
         self.distance = objective.distance
         self.provider = provider_for(objective)
-        self.block_size = int(block_size)
-        self.storage_kind = storage
-        self.dtype = dtype
-        self.workers = workers
-        self.parallel = parallel
-        self.max_resident_tiles = max_resident_tiles
-        self.max_resident_bytes = max_resident_bytes
-        self.spill_dir = spill_dir
-        self.spill_mode = spill_mode
-        self.max_warm_pools = max_warm_pools
-        self.warm_pool_ttl = warm_pool_ttl
-        self.sketch_columns = sketch_columns
-        self.landmarks = landmarks
+        self.config = config
+        self.storage_kind = config.storage or "dense"
+        self.dtype = config.dtype or "float64"
         self.answers: tuple[Row, ...] = tuple(instance.answers())
         self.n = len(self.answers)
         self._index = _first_occurrence_index(self.answers)
@@ -320,7 +185,7 @@ class ScoringKernel:
         self._storage: KernelStorage | None = None
         self._sketch: SketchedStorage | None = None
         self._row_sums = None
-        if not defer_distances and storage != "sketched":
+        if not defer_distances and self.storage_kind != "sketched":
             self._materialize_distances()
         self._item_scores_cache = {}
 
@@ -356,28 +221,18 @@ class ScoringKernel:
         Dense storage fills the whole matrix here (eager, the historical
         behaviour); tiled storage allocates an empty grid and scores
         tiles on first touch — :meth:`materialize_all` forces the full
-        build (in parallel when ``workers`` > 1).  Sketched kernels keep
-        their *exact* reads on a lazy tiled grid: only the tiles a
-        selector actually touches (typically none) are ever scored, and
-        the landmark columns live in :meth:`sketch` instead.
+        build (across worker processes when the pure-Python backend has
+        ``workers`` > 1).  Sketched kernels keep their *exact* reads on
+        a lazy tiled grid: only the tiles a selector actually touches
+        (typically none) are ever scored, and the landmark columns live
+        in :meth:`sketch` instead.
         """
-        kind = "tiled" if self.storage_kind == "sketched" else self.storage_kind
         self._storage = make_storage(
-            kind,
             self.n,
             self._build_distance_block,
             self.backend == "numpy",
-            self.block_size,
-            dtype=self.dtype,
-            workers=self.workers,
-            parallel=self.parallel,
-            max_resident_tiles=self.max_resident_tiles,
-            max_resident_bytes=self.max_resident_bytes,
-            spill_dir=self.spill_dir,
-            spill_mode=self.spill_mode,
-            max_warm_pools=self.max_warm_pools,
-            warm_pool_ttl=self.warm_pool_ttl,
-            pool_source=self._pool_snapshot,
+            self.config,
+            self._pool_snapshot,
         )
         self._row_sums = None
 
@@ -403,9 +258,9 @@ class ScoringKernel:
 
     def materialize_all(self) -> None:
         """Force the full O(n²) distance materialization now — tiled
-        kernels build every remaining tile, fanning the builds over the
-        ``workers`` thread pool, or over a process pool when
-        ``parallel='process'`` and the scoring snapshot pickles."""
+        kernels build every remaining tile, on the pure-Python backend
+        fanning the builds over ``workers`` processes when the scoring
+        snapshot pickles."""
         self._require_dist().ensure_all()
 
     def storage_stats(self) -> dict:
@@ -451,7 +306,7 @@ class ScoringKernel:
         sketch memory/scoring, ~1% of the dense matrix at n = 10,000 —
         clamped to ``[min(2, n), n]`` so m ≥ n snapshots fall back to
         exact dense semantics (every row a landmark)."""
-        m = self.sketch_columns
+        m = self.config.sketch_columns
         if m is None:
             m = max(16, math.isqrt(max(self.n, 1)))
         return min(self.n, max(2, m))
@@ -473,7 +328,7 @@ class ScoringKernel:
         """
         if self._sketch is None:
             use_numpy = self.backend == "numpy"
-            strategy = self.landmarks or "uniform"
+            strategy = self.config.landmarks or "uniform"
             positions = self.provider.select_landmarks(
                 self.answers,
                 [float(v) for v in self._rel],
@@ -496,13 +351,8 @@ class ScoringKernel:
                 positions,
                 columns_builder,
                 use_numpy,
-                self.block_size,
-                strategy,
-                workers=self.workers,
-                parallel=self.parallel,
-                max_warm_pools=self.max_warm_pools,
-                warm_pool_ttl=self.warm_pool_ttl,
-                pool_source=self._pool_snapshot,
+                self.config,
+                self._pool_snapshot,
             )
         return self._sketch
 
@@ -571,33 +421,9 @@ class ScoringKernel:
         cls,
         instance: "DiversificationInstance",
         use_numpy: bool | None = None,
-        block_size: int | None = None,
-        storage: str | None = None,
-        dtype: str | None = None,
-        workers: "int | str | None" = None,
-        parallel: str | None = None,
-        max_resident_tiles: int | None = None,
-        max_resident_bytes: int | None = None,
-        spill_dir: str | None = None,
-        spill_mode: str | None = None,
-        max_warm_pools: int | None = None,
-        warm_pool_ttl: float | None = None,
+        config: EngineConfig | None = None,
     ) -> "ScoringKernel":
-        return cls(
-            instance,
-            use_numpy=use_numpy,
-            block_size=block_size,
-            storage=storage,
-            dtype=dtype,
-            workers=workers,
-            parallel=parallel,
-            max_resident_tiles=max_resident_tiles,
-            max_resident_bytes=max_resident_bytes,
-            spill_dir=spill_dir,
-            spill_mode=spill_mode,
-            max_warm_pools=max_warm_pools,
-            warm_pool_ttl=warm_pool_ttl,
-        )
+        return cls(instance, use_numpy=use_numpy, config=config)
 
     # -- identity ---------------------------------------------------------
 
@@ -1045,18 +871,7 @@ class ScoringKernel:
 def kernel_for_instance(
     instance: "DiversificationInstance",
     use_numpy: bool | None = None,
-    block_size: int | None = None,
-    storage: str | None = None,
-    dtype: str | None = None,
-    workers: "int | str | None" = None,
-    parallel: str | None = None,
-    max_resident_tiles: int | None = None,
-    max_resident_bytes: int | None = None,
-    spill_dir: str | None = None,
-    spill_mode: str | None = None,
-    max_warm_pools: int | None = None,
-    warm_pool_ttl: float | None = None,
-    config=None,
+    config: EngineConfig | None = None,
     access: str | None = None,
 ) -> ScoringKernel:
     """Build a kernel sized to the instance's objective — and, when the
@@ -1077,35 +892,10 @@ def kernel_for_instance(
 
     Every non-engine entry point (the legacy row-based algorithm
     signatures, the dispersion view) builds kernels through here so the
-    deferral policy lives in one place, and the ``storage`` / ``dtype``
-    / ``workers`` / sketch policy knobs thread through unchanged.
-    ``config`` (a :class:`repro.api.EngineConfig`) supplies any knob not
-    passed explicitly — the engine hands its whole policy bundle through
-    this parameter.
+    deferral policy lives in one place; ``config`` (a
+    :class:`repro.api.EngineConfig`, the engine's whole policy bundle)
+    plans the storage unchanged.
     """
-    sketch_columns = None
-    landmarks = None
-    if config is not None:
-        block_size = block_size if block_size is not None else config.block_size
-        storage = storage if storage is not None else config.storage
-        dtype = dtype if dtype is not None else config.dtype
-        workers = workers if workers is not None else config.workers
-        if parallel is None:
-            parallel = getattr(config, "parallel", None)
-        if max_resident_tiles is None:
-            max_resident_tiles = getattr(config, "max_resident_tiles", None)
-        if max_resident_bytes is None:
-            max_resident_bytes = getattr(config, "max_resident_bytes", None)
-        if spill_dir is None:
-            spill_dir = getattr(config, "spill_dir", None)
-        if spill_mode is None:
-            spill_mode = getattr(config, "spill_mode", None)
-        if max_warm_pools is None:
-            max_warm_pools = getattr(config, "max_warm_pools", None)
-        if warm_pool_ttl is None:
-            warm_pool_ttl = getattr(config, "warm_pool_ttl", None)
-        sketch_columns = getattr(config, "sketch_columns", None)
-        landmarks = getattr(config, "landmarks", None)
     objective = instance.objective
     defer = objective.kind is ObjectiveKind.MAX_SUM and objective.relevance_only
     if access is not None:
@@ -1115,20 +905,5 @@ def kernel_for_instance(
         # *more* than the historical policy, never materialize earlier.
         defer = defer or not KernelAccess.requires_matrix(access)
     return ScoringKernel(
-        instance,
-        use_numpy=use_numpy,
-        defer_distances=defer,
-        block_size=block_size,
-        storage=storage,
-        dtype=dtype,
-        workers=workers,
-        parallel=parallel,
-        max_resident_tiles=max_resident_tiles,
-        max_resident_bytes=max_resident_bytes,
-        spill_dir=spill_dir,
-        spill_mode=spill_mode,
-        max_warm_pools=max_warm_pools,
-        warm_pool_ttl=warm_pool_ttl,
-        sketch_columns=sketch_columns,
-        landmarks=landmarks,
+        instance, use_numpy=use_numpy, defer_distances=defer, config=config
     )

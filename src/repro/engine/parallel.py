@@ -1,25 +1,19 @@
-"""Process-pool kernel builds: true multicore tile scoring.
+"""Process-pool kernel builds: multicore tile scoring on pure Python.
 
-The ``workers=`` thread pool in :class:`~repro.engine.storage.TiledStorage`
-only wins when provider blocks release the GIL (NumPy inner kernels); a
-pure-Python provider — or the Python-side feature assembly around a
-vectorized one — serializes on the interpreter lock and measures ≈1.0×.
-This module is the escape hatch: ship the scoring *snapshot* (provider +
-answer rows) to a ``ProcessPoolExecutor`` once, fan independent tile
-builds across cores, and return each scored block to the parent
-
-* through one ``multiprocessing.shared_memory`` segment per batch on the
-  NumPy backend (workers write float64 blocks at precomputed offsets;
-  the parent copies tiles out and unlinks the segment — no pickling of
-  matrix data), or
-* as pickled nested float lists on the pure-Python backend (floats
-  round-trip pickle exactly, so tiles stay bit-identical).
+A pure-Python provider serializes on the interpreter lock, so its tiled
+builds only scale across worker *processes*: ship the scoring snapshot
+(provider + answer rows) to a ``ProcessPoolExecutor`` once, fan
+independent tile builds across cores, and return each scored block to
+the parent as pickled nested float lists (floats round-trip pickle
+exactly, so tiles stay bit-identical).  The NumPy backend never comes
+here: its vectorized tile builds measured faster serially than through
+a pool, so :class:`~repro.engine.storage.TiledStorage` builds them on
+the calling thread.
 
 Capability negotiation: a snapshot qualifies only if it pickles —
-:func:`supports_process_pool` is the cheap probe, and
-:meth:`ProcessTileBuilder.create` is the authoritative gate (it returns
-``None`` instead of a builder when the full payload fails to pickle, and
-callers degrade to the thread pool).  Closure-based scalar providers
+:meth:`ProcessTileBuilder.create` and :meth:`WarmPoolRegistry.acquire`
+return ``None`` instead of a builder when the payload fails to pickle,
+and callers fall back to a serial build.  Closure-based scalar providers
 therefore keep working exactly as before; module-level workload
 providers (:mod:`repro.workloads`) and
 :class:`~repro.core.providers.FeatureSpaceProvider` with named metrics
@@ -34,65 +28,45 @@ a serial build would, before the storage layer even narrows it.
 
 **Warm pools**: repeated builds over the *same* snapshot (λ/k sweeps,
 TTL-cache misses re-materializing a kernel, sketched landmark columns
-after the tiled grid) used to pay the fork + initializer cost every
-time.  :class:`WarmPoolRegistry` keeps executors alive between builds,
-keyed on the digest of the pickled snapshot payload — the same bytes
-the initializer ships — so "same digest" *is* "workers hold exactly
-this snapshot", and a patched kernel (new answers → new payload → new
-digest) can never hit a stale pool.  The registry is LRU-bounded
-(``max_warm_pools``), idle pools expire after ``warm_pool_ttl``
-seconds, and :meth:`WarmPoolRegistry.invalidate` /
-:meth:`WarmPoolRegistry.clear` drop pools eagerly on ``apply_delta`` /
-engine reset.  A digest miss (or ``max_warm_pools=0``) falls back to
-the per-build pool exactly as before.
+after the tiled grid) would otherwise pay the spawn + initializer cost
+every time.  :class:`WarmPoolRegistry` keeps executors alive between
+builds, keyed on the digest of the pickled snapshot payload — the same
+bytes the initializer ships — so "same digest" *is* "workers hold
+exactly this snapshot", and a patched kernel (new answers → new payload
+→ new digest) can never hit a stale pool.  The registry keeps at most
+:data:`DEFAULT_MAX_WARM_POOLS` pools, idle pools expire after
+:data:`DEFAULT_WARM_POOL_TTL` seconds, and
+:meth:`WarmPoolRegistry.invalidate` / :meth:`WarmPoolRegistry.clear`
+drop pools eagerly on ``apply_delta`` / engine reset.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
 import os
 import pickle
 import threading
 import time
 from collections import OrderedDict
-import multiprocessing
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait,
-)
-from multiprocessing import shared_memory
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI cells
-    _np = None
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 __all__ = [
-    "PARALLEL_MODES",
     "DEFAULT_MAX_WARM_POOLS",
     "DEFAULT_WARM_POOL_TTL",
     "available_cpus",
-    "validate_workers",
     "resolve_workers",
-    "validate_parallel",
-    "supports_process_pool",
     "ProcessTileBuilder",
     "WarmPoolRegistry",
     "warm_pool_registry",
-    "acquire_tile_builder",
 ]
-
-#: Recognized ``parallel=`` spellings: how a multi-worker build fans out.
-PARALLEL_MODES = ("thread", "process")
 
 #: Upper bound on tiles per worker task (amortizes IPC without starving
 #: the pool of work items on small grids).
 _MAX_BATCH_TILES = 16
 
-#: Warm pools kept alive process-wide (LRU; ``0`` disables warm pooling
-#: and every build creates/tears down its own pool as before).
+#: Warm pools kept alive process-wide (LRU).
 DEFAULT_MAX_WARM_POOLS = 4
 
 #: Seconds an unleased warm pool may sit idle before it is shut down.
@@ -107,6 +81,15 @@ DEFAULT_WARM_POOL_TTL = 300.0
 #: :class:`WarmPoolRegistry` amortizes: it is paid once per snapshot,
 #: not once per build.
 _START_METHOD = "spawn"
+
+
+def _snapshot_payload(provider, answers) -> bytes | None:
+    """The pickled ``(provider, answers)`` snapshot workers are
+    initialized with, or ``None`` when it cannot pickle."""
+    try:
+        return pickle.dumps((provider, tuple(answers)), protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return None
 
 
 def _make_executor(payload: bytes, workers: int) -> ProcessPoolExecutor:
@@ -127,60 +110,14 @@ def available_cpus() -> int:
     return max(1, counter() or 1)
 
 
-def validate_workers(workers, error=ValueError):
-    """Validate a ``workers`` knob: ``None``, an int ≥ 1, or ``"auto"``.
-
-    Returns the knob *unresolved* — ``"auto"`` stays symbolic (hashable
-    config keys, host-independent canonical forms) until a build actually
-    needs a pool size, at which point :func:`resolve_workers` pins it.
-    ``error`` is the exception class to raise (each layer keeps its own:
-    ``StorageError``, ``KernelError``, ``ConfigError``).
-    """
-    if workers is None or workers == "auto":
-        return workers
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise error(f"workers must be an int >= 1 or 'auto', got {workers!r}")
-    if workers < 1:
-        raise error(f"workers must be >= 1, got {workers}")
-    return workers
-
-
 def resolve_workers(workers) -> int:
-    """The concrete pool size for a validated ``workers`` knob."""
+    """The concrete pool size for a validated ``workers`` knob
+    (``None`` → 1, ``"auto"`` → :func:`available_cpus`)."""
     if workers is None:
         return 1
     if workers == "auto":
         return available_cpus()
     return int(workers)
-
-
-def validate_parallel(parallel, error=ValueError) -> str:
-    """Validate a ``parallel`` mode knob (``None`` means ``"thread"``)."""
-    if parallel is None:
-        return "thread"
-    if parallel not in PARALLEL_MODES:
-        raise error(
-            f"unknown parallel mode {parallel!r}; choose one of {PARALLEL_MODES}"
-        )
-    return parallel
-
-
-def supports_process_pool(provider, answers=()) -> bool:
-    """Can this scoring snapshot ship to worker processes?
-
-    A cheap capability probe: the provider plus a few sample rows must
-    pickle.  :meth:`ProcessTileBuilder.create` re-checks the full payload
-    (the probe can pass while an exotic row deep in the snapshot fails),
-    so callers treating ``True`` as a hint and ``create() is None`` as
-    the verdict degrade gracefully either way.
-    """
-    try:
-        pickle.dumps(
-            (provider, tuple(answers)[:4]), protocol=pickle.HIGHEST_PROTOCOL
-        )
-    except Exception:
-        return False
-    return True
 
 
 # -- worker side ------------------------------------------------------------
@@ -203,7 +140,7 @@ def _worker_score(spec):
     mirrors the sketched-storage columns builder (row block × landmark
     rows).
     """
-    provider, answers, use_numpy = _WORKER_STATE
+    provider, answers = _WORKER_STATE
     if spec[0] == "cols":
         _, a0, a1, cols = spec
         rows_a = answers[a0:a1]
@@ -212,49 +149,12 @@ def _worker_score(spec):
         _, a0, a1, b0, b1 = spec
         rows_a = answers[a0:a1]
         rows_b = rows_a if (a0, a1) == (b0, b1) else answers[b0:b1]
-    return provider.distance_block(rows_a, rows_b, use_numpy=use_numpy)
+    return provider.distance_block(rows_a, rows_b, use_numpy=False)
 
 
-def _spec_shape(spec) -> tuple[int, int]:
-    if spec[0] == "cols":
-        return spec[2] - spec[1], len(spec[3])
-    return spec[2] - spec[1], spec[4] - spec[3]
-
-
-def _attach_shm(name: str):
-    """Attach to a parent-owned segment, avoiding double bookkeeping
-    with the resource tracker where the API allows it.
-
-    3.13+ supports ``track=False``; earlier Pythons register the name on
-    attach unconditionally.  That duplicate register is harmless — the
-    tracker cache is a set, and the parent's ``unlink()`` unregisters
-    the name exactly once — whereas unregistering here would race the
-    parent's unlink and spray KeyError tracebacks from the tracker.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - Python < 3.13
-        return shared_memory.SharedMemory(name=name)
-
-
-def _score_specs_shm(shm_name: str, jobs) -> None:
-    """Score a batch of specs, writing float64 blocks into the shared
-    segment at the parent-assigned offsets (NumPy backend only)."""
-    shm = _attach_shm(shm_name)
-    try:
-        for offset, spec in jobs:
-            block = _np.asarray(_worker_score(spec), dtype=_np.float64)
-            view = _np.ndarray(
-                block.shape, dtype=_np.float64, buffer=shm.buf, offset=offset
-            )
-            view[...] = block
-    finally:
-        shm.close()
-
-
-def _score_specs_pickled(specs) -> list:
+def _score_specs(specs) -> list:
     """Score a batch of specs, returning the raw provider blocks (nested
-    float lists on the pure-Python backend; pickled on the way back)."""
+    float lists; pickled on the way back)."""
     return [_worker_score(spec) for spec in specs]
 
 
@@ -265,7 +165,7 @@ class ProcessTileBuilder:
     """One process pool bound to one scoring snapshot.
 
     Create via :meth:`create` (returns ``None`` when the snapshot cannot
-    be pickled — the caller's cue to degrade to threads), feed it block
+    be pickled — the caller's cue to build serially), feed it block
     jobs via :meth:`build`, and :meth:`close` it when the build is done.
     A builder created directly owns its pool and :meth:`close` shuts it
     down; a builder leased from :class:`WarmPoolRegistry` carries a
@@ -275,36 +175,23 @@ class ProcessTileBuilder:
     the digest of those exact payload bytes.
     """
 
-    def __init__(
-        self,
-        executor: ProcessPoolExecutor,
-        use_numpy: bool,
-        workers: int,
-        release=None,
-    ):
+    def __init__(self, executor: ProcessPoolExecutor, workers: int, release=None):
         self._executor = executor
         self._release = release
-        self.use_numpy = use_numpy
         self.workers = workers
 
     @classmethod
-    def create(
-        cls, provider, answers, use_numpy: bool, workers: int
-    ) -> "ProcessTileBuilder | None":
+    def create(cls, provider, answers, workers: int) -> "ProcessTileBuilder | None":
         """A builder for the snapshot, or ``None`` if it cannot ship.
 
         The payload is pickled *here*, in the parent, so unpicklable
         providers fail fast and deterministically instead of surfacing
         as a ``BrokenProcessPool`` from the first worker.
         """
-        try:
-            payload = pickle.dumps(
-                (provider, tuple(answers), use_numpy),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception:
+        payload = _snapshot_payload(provider, answers)
+        if payload is None:
             return None
-        return cls(_make_executor(payload, workers), use_numpy, workers)
+        return cls(_make_executor(payload, workers), workers)
 
     def close(self) -> None:
         """Finish with the pool: shut an owned one down, lease a warm
@@ -330,79 +217,30 @@ class ProcessTileBuilder:
 
     def build(self, jobs, store) -> None:
         """Score every job, calling ``store(key, block)`` in *this*
-        thread as results land (storage dict writes stay single-threaded,
-        exactly like the thread-pool path).
+        thread as results land, so storage dict writes stay
+        single-threaded.
 
-        ``jobs`` is a sequence of ``(key, spec)`` pairs; ``block`` is a
-        fresh float64 array (NumPy backend) or the provider's nested
-        float lists (pure-Python backend).  In-flight work is bounded to
+        ``jobs`` is a sequence of ``(key, spec)`` pairs; ``block`` is
+        the provider's nested float lists.  In-flight work is bounded to
         a few batches so a memory-budgeted storage never sees O(n²)
         transient allocation.
         """
-        batches = self._batches(list(jobs))
-        if self.use_numpy:
-            self._run_shm(batches, store)
-        else:
-            self._run_pickled(batches, store)
-
-    def _run_shm(self, batches, store) -> None:
         inflight: dict = {}
         max_inflight = self.workers + 2
         try:
-            for batch in batches:
-                offset = 0
-                specs = []
-                for _key, spec in batch:
-                    rows, cols = _spec_shape(spec)
-                    specs.append((offset, spec))
-                    offset += rows * cols * 8
-                shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-                future = self._executor.submit(_score_specs_shm, shm.name, specs)
-                inflight[future] = (shm, batch, specs)
-                if len(inflight) >= max_inflight:
-                    self._drain_shm(inflight, store)
-            while inflight:
-                self._drain_shm(inflight, store)
-        finally:
-            for future, (shm, _batch, _specs) in inflight.items():
-                future.cancel()
-                shm.close()
-                shm.unlink()
-
-    def _drain_shm(self, inflight, store) -> None:
-        done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-        for future in done:
-            shm, batch, specs = inflight.pop(future)
-            try:
-                future.result()  # surface worker errors before reading
-                for (key, spec), (offset, _spec) in zip(batch, specs):
-                    view = _np.ndarray(
-                        _spec_shape(spec),
-                        dtype=_np.float64,
-                        buffer=shm.buf,
-                        offset=offset,
-                    )
-                    store(key, view.copy())
-            finally:
-                shm.close()
-                shm.unlink()
-
-    def _run_pickled(self, batches, store) -> None:
-        inflight: dict = {}
-        max_inflight = self.workers + 2
-        try:
-            for batch in batches:
+            for batch in self._batches(list(jobs)):
                 specs = [spec for _key, spec in batch]
-                inflight[self._executor.submit(_score_specs_pickled, specs)] = batch
+                inflight[self._executor.submit(_score_specs, specs)] = batch
                 if len(inflight) >= max_inflight:
-                    self._drain_pickled(inflight, store)
+                    self._drain(inflight, store)
             while inflight:
-                self._drain_pickled(inflight, store)
+                self._drain(inflight, store)
         finally:
             for future in inflight:
                 future.cancel()
 
-    def _drain_pickled(self, inflight, store) -> None:
+    @staticmethod
+    def _drain(inflight, store) -> None:
         done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
         for future in done:
             batch = inflight.pop(future)
@@ -431,7 +269,7 @@ class WarmPoolRegistry:
     on ``(snapshot-payload digest, workers)``.
 
     The digest is taken over the *pickled initializer payload* —
-    ``(provider, answers, use_numpy)`` — so a hit guarantees the warm
+    ``(provider, answers)`` — so a hit guarantees the warm
     workers hold byte-for-byte the snapshot this build would have
     shipped, and the floats they score are exactly the cold-pool floats.
     ``apply_delta`` produces a new answers tuple, hence new payload
@@ -444,7 +282,7 @@ class WarmPoolRegistry:
     a ``bypass``) rather than contending for the warm executor; pools
     evicted or invalidated while leased are shut down when the lease is
     released.  Broken executors (a killed worker) are discarded on
-    release instead of being re-warmed.
+    release instead of being re-warmed.  ``max_pools`` is at least 1.
     """
 
     def __init__(
@@ -474,17 +312,17 @@ class WarmPoolRegistry:
         for executor in executors:
             executor.shutdown(wait=False, cancel_futures=True)
 
-    def _reap_locked(self, ttl: float, doomed: list) -> None:
+    def _reap_locked(self, doomed: list) -> None:
         now = self._clock()
         for key in list(self._pools):
             entry = self._pools[key]
-            if not entry.leased and now - entry.last_used > ttl:
+            if not entry.leased and now - entry.last_used > self.ttl:
                 del self._pools[key]
                 doomed.append(entry.executor)
                 self._counters["expirations"] += 1
 
-    def _evict_over_budget_locked(self, limit: int, doomed: list) -> None:
-        while len(self._pools) > limit:
+    def _evict_over_budget_locked(self, doomed: list) -> None:
+        while len(self._pools) > self.max_pools:
             victim = next(
                 (k for k, e in self._pools.items() if not e.leased), None
             )
@@ -510,42 +348,18 @@ class WarmPoolRegistry:
 
     # -- the public surface ------------------------------------------------
 
-    def acquire(
-        self,
-        provider,
-        answers,
-        use_numpy: bool,
-        workers: int,
-        max_pools: int | None = None,
-        ttl: float | None = None,
-    ) -> "ProcessTileBuilder | None":
+    def acquire(self, provider, answers, workers: int) -> "ProcessTileBuilder | None":
         """A builder whose workers hold this snapshot: leased warm on a
         digest hit, freshly created (and registered for next time) on a
-        miss, or ``None`` when the snapshot cannot pickle.
-
-        ``max_pools`` / ``ttl`` override the registry defaults for this
-        call — the engine threads its ``max_warm_pools`` /
-        ``warm_pool_ttl`` knobs through here; ``max_pools=0`` bypasses
-        warm pooling entirely (a plain per-build pool, PR-9 semantics).
-        """
-        try:
-            payload = pickle.dumps(
-                (provider, tuple(answers), use_numpy),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception:
+        miss, or ``None`` when the snapshot cannot pickle."""
+        payload = _snapshot_payload(provider, answers)
+        if payload is None:
             return None
-        limit = self.max_pools if max_pools is None else max_pools
-        idle_ttl = self.ttl if ttl is None else ttl
-        if limit < 1:
-            with self._lock:
-                self._counters["bypasses"] += 1
-            return self._cold(payload, use_numpy, workers)
         key = (hashlib.blake2b(payload, digest_size=16).digest(), workers)
         doomed: list = []
         builder = bypass = False
         with self._lock:
-            self._reap_locked(idle_ttl, doomed)
+            self._reap_locked(doomed)
             entry = self._pools.get(key)
             if entry is not None and not entry.leased:
                 if getattr(entry.executor, "_broken", False):
@@ -559,7 +373,6 @@ class WarmPoolRegistry:
                     self._counters["hits"] += 1
                     builder = ProcessTileBuilder(
                         entry.executor,
-                        use_numpy,
                         workers,
                         release=lambda k=key, e=entry: self._release(k, e),
                     )
@@ -570,7 +383,7 @@ class WarmPoolRegistry:
         if builder:
             return builder
         if bypass:
-            return self._cold(payload, use_numpy, workers)
+            return self._cold(payload, workers)
         executor = _make_executor(payload, workers)
         entry = _WarmPool(executor, id(provider), self._clock())
         doomed = []
@@ -582,16 +395,14 @@ class WarmPoolRegistry:
             else:
                 self._counters["misses"] += 1
                 self._pools[key] = entry
-                self._evict_over_budget_locked(limit, doomed)
+                self._evict_over_budget_locked(doomed)
                 release = lambda k=key, e=entry: self._release(k, e)  # noqa: E731
         self._shutdown_all(doomed)
-        return ProcessTileBuilder(executor, use_numpy, workers, release=release)
+        return ProcessTileBuilder(executor, workers, release=release)
 
     @staticmethod
-    def _cold(payload: bytes, use_numpy: bool, workers: int) -> ProcessTileBuilder:
-        return ProcessTileBuilder(
-            _make_executor(payload, workers), use_numpy, workers
-        )
+    def _cold(payload: bytes, workers: int) -> ProcessTileBuilder:
+        return ProcessTileBuilder(_make_executor(payload, workers), workers)
 
     def invalidate(self, provider) -> int:
         """Drop every pool whose snapshot was built around ``provider``
@@ -625,11 +436,11 @@ class WarmPoolRegistry:
                 self._counters["invalidations"] += 1
         self._shutdown_all(doomed)
 
-    def reap(self, ttl: float | None = None) -> None:
+    def reap(self) -> None:
         """Expire idle pools now (also runs inside every acquire)."""
         doomed: list = []
         with self._lock:
-            self._reap_locked(self.ttl if ttl is None else ttl, doomed)
+            self._reap_locked(doomed)
         self._shutdown_all(doomed)
 
     def stats(self) -> dict[str, int]:
@@ -656,24 +467,3 @@ def warm_pool_registry() -> WarmPoolRegistry:
             if _REGISTRY is None:
                 _REGISTRY = WarmPoolRegistry()
     return _REGISTRY
-
-
-def acquire_tile_builder(
-    provider,
-    answers,
-    use_numpy: bool,
-    workers: int,
-    max_warm_pools: int | None = None,
-    warm_pool_ttl: float | None = None,
-) -> "ProcessTileBuilder | None":
-    """The storage layer's one entry point for a process-pool builder:
-    warm when the process-wide registry has this snapshot, cold
-    otherwise, ``None`` when it cannot pickle (degrade to threads)."""
-    return warm_pool_registry().acquire(
-        provider,
-        answers,
-        use_numpy,
-        workers,
-        max_pools=max_warm_pools,
-        ttl=warm_pool_ttl,
-    )

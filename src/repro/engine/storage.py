@@ -15,12 +15,18 @@ that seam: a :class:`KernelStorage` contract plus two implementations.
   tiles.  Tiles are built **lazily** on first touch (a selector that
   reads only some rows never pays for the rest), only on-or-above the
   diagonal (below-diagonal tiles are transpose mirrors — views on the
-  NumPy backend, so they cost no memory), optionally **in parallel**
-  (:meth:`TiledStorage.ensure_all` maps independent tile builds over a
-  thread pool; NumPy releases the GIL inside the vectorized block
-  kernels), and optionally **narrowed** to float32 (``dtype="float32"``
+  NumPy backend, so they cost no memory), optionally **across worker
+  processes** on the pure-Python backend (:meth:`TiledStorage.ensure_all`
+  fans independent tile builds over a warm process pool, see
+  :mod:`repro.engine.parallel`), optionally **memory-bounded** (an LRU
+  tile budget, with evicted tiles spilled to one segment file per
+  kernel), and optionally **narrowed** to float32 (``dtype="float32"``
   halves storage; every read widens back to float64 so reductions and
   selector arithmetic stay in double precision).
+
+Both take their whole policy from one validated
+:class:`~repro.api.EngineConfig` (``config=``); nothing here re-checks
+it.
 
 Exactness contract: with ``dtype="float64"`` a tiled matrix is
 element-wise identical to the dense one — tiles are filled from the same
@@ -43,22 +49,18 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import shutil
 import struct
 import tempfile
 import weakref
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
-from .parallel import (
-    PARALLEL_MODES,
-    acquire_tile_builder,
-    resolve_workers,
-    validate_parallel,
-    validate_workers,
-)
+from .parallel import resolve_workers, warm_pool_registry
+
+if TYPE_CHECKING:
+    from ..api import EngineConfig
 
 try:
     import numpy as _np
@@ -73,26 +75,23 @@ __all__ = [
     "SketchedStorage",
     "STORAGE_KINDS",
     "STORAGE_DTYPES",
-    "SPILL_MODES",
-    "PARALLEL_MODES",
+    "DEFAULT_BLOCK_SIZE",
     "make_storage",
 ]
 
+#: Rows per tile of the blocked distance-matrix construction.  Large
+#: enough that NumPy per-call overhead amortizes, small enough that a
+#: tile's feature matrices stay cache-friendly.
+DEFAULT_BLOCK_SIZE = 256
+
 #: Recognized ``storage=`` spellings.  ``sketched`` is not a
 #: full-matrix :class:`KernelStorage` — it selects the landmark-column
-#: :class:`SketchedStorage` plan inside the kernel (exact reads fall
-#: back to a lazy tiled grid), so :func:`make_storage` rejects it.
+#: :class:`SketchedStorage` plan inside the kernel, whose exact reads
+#: fall back to the lazy tiled grid :func:`make_storage` builds for it.
 STORAGE_KINDS = ("dense", "tiled", "sketched")
 
 #: Recognized ``dtype=`` spellings (float32 is tiled-only).
 STORAGE_DTYPES = ("float64", "float32")
-
-#: Recognized ``spill_mode=`` spellings: how evicted tiles reach (and
-#: come back from) ``spill_dir``.  ``file`` is one whole-tile file per
-#: tile, rehydrated on touch; ``mmap`` is one per-kernel segment file
-#: whose row slices are read in place (``np.memmap`` windows on the
-#: NumPy backend, ``struct`` over a seeked handle on pure Python).
-SPILL_MODES = ("file", "mmap")
 
 #: ``BlockBuilder(a0, a1, b0, b1)`` returns the provider distance block
 #: for answer rows ``[a0:a1] × [b0:b1]`` — a float64 NumPy array on the
@@ -103,7 +102,7 @@ BlockBuilder = Callable[[int, int, int, int], object]
 
 
 class StorageError(ValueError):
-    """Raised on kernel-storage misuse (bad kind/dtype/workers)."""
+    """Raised on kernel-storage misuse (a sketch with too few columns)."""
 
 
 def _float32_round(value: float) -> float:
@@ -123,7 +122,7 @@ class KernelStorage:
     Implementations own layout, laziness and dtype; the kernel owns the
     snapshot, the relevance vector and all objective arithmetic.  All
     reads return float64 values.  Instances are not safe for concurrent
-    readers — parallelism lives inside :meth:`ensure_all` only.
+    readers — worker processes only ever score inside :meth:`ensure_all`.
     """
 
     #: Empty so subclass ``__slots__`` actually take effect (a slotted
@@ -144,7 +143,7 @@ class KernelStorage:
 
     def ensure_all(self) -> None:
         """Force every entry to be built (lazy storages pay the full
-        O(n²) scoring here; possibly in parallel)."""
+        O(n²) scoring here; possibly across worker processes)."""
         raise NotImplementedError
 
     # -- element / row reads ----------------------------------------------
@@ -393,27 +392,23 @@ class TiledStorage(KernelStorage):
     tiles narrowed (reads widen back to float64); on the pure-Python
     backend float32 values are emulated by round-tripping each float
     through IEEE binary32, so both backends store the same numbers.
-    ``workers`` > 1 (or ``"auto"``) parallelizes :meth:`ensure_all` over
-    a pool of independent tile builds — a thread pool by default, or a
-    process pool (``parallel="process"``) when the scoring snapshot is
-    picklable (see :mod:`repro.engine.parallel`; unpicklable snapshots
-    degrade to threads transparently).
+    ``workers`` > 1 (or ``"auto"``) fans :meth:`ensure_all` over a warm
+    process pool on the pure-Python backend when the scoring snapshot
+    pickles (see :mod:`repro.engine.parallel`); the NumPy backend, and
+    any snapshot that cannot ship, builds serially.
 
     **Tile spilling** bounds resident memory below O(n²): with
     ``max_resident_tiles`` and/or ``max_resident_bytes`` set, built upper
     tiles live in an LRU; evicted tiles are rebuilt on next touch from
     the same provider calls (identical floats by the provider exactness
-    contract), or — when ``spill_dir`` is set — written to disk once on
-    first eviction and reloaded exactly.  ``spill_mode="file"`` (the
-    default) writes one whole-tile file per tile (raw IEEE bytes on
-    NumPy, pickle on pure Python) and rehydrates the whole tile on
-    touch; ``spill_mode="mmap"`` appends tiles to one per-kernel segment
-    file in fixed-width little-endian IEEE on *both* backends, and
-    row-level reads (``row64`` / ``get`` behind ``copy_distance_row``
-    and ``best_pair`` gathers) are served straight out of the segment —
-    an ``np.memmap`` window or a ``struct`` unpack over a seeked handle
-    — touching only the bytes they need, without rehydrating the tile or
-    disturbing the LRU.  Both modes round-trip IEEE-exactly.
+    contract), or — when ``spill_dir`` is set — appended once, on first
+    eviction, to one per-kernel segment file in fixed-width
+    little-endian IEEE on *both* backends.  Row-level reads (``row64`` /
+    ``get`` behind ``copy_distance_row`` and ``best_pair`` gathers) are
+    served straight out of the segment — an ``np.memmap`` window or a
+    ``struct`` unpack over a seeked handle — touching only the bytes
+    they need, without rehydrating the tile or disturbing the LRU;
+    whole-tile consumers reload the tile exactly.
     ``tiles_built`` / ``is_fully_built`` track *ever-built* tiles, so
     laziness observability and remap semantics are unchanged by
     eviction.
@@ -426,14 +421,7 @@ class TiledStorage(KernelStorage):
         "backend",
         "dtype",
         "block_size",
-        "workers",
-        "parallel",
-        "max_resident_tiles",
-        "max_resident_bytes",
-        "spill_dir",
-        "spill_mode",
-        "max_warm_pools",
-        "warm_pool_ttl",
+        "config",
         "_builder",
         "_pool_source",
         "_nb",
@@ -441,7 +429,6 @@ class TiledStorage(KernelStorage):
         "_built_upper",
         "_lru",
         "_resident_bytes",
-        "_spilled",
         "_spill_path",
         "_segment_offsets",
         "_segment_size",
@@ -457,62 +444,24 @@ class TiledStorage(KernelStorage):
         n: int,
         builder: BlockBuilder,
         use_numpy: bool,
-        block_size: int,
-        dtype: str = "float64",
-        workers: "int | str | None" = None,
-        parallel: str | None = None,
-        max_resident_tiles: int | None = None,
-        max_resident_bytes: int | None = None,
-        spill_dir: str | None = None,
-        spill_mode: str | None = None,
-        max_warm_pools: int | None = None,
-        warm_pool_ttl: float | None = None,
+        config: "EngineConfig",
         pool_source: Callable[[], tuple] | None = None,
     ):
-        if dtype not in STORAGE_DTYPES:
-            raise StorageError(
-                f"unknown storage dtype {dtype!r}; choose one of {STORAGE_DTYPES}"
-            )
-        if max_resident_tiles is not None and max_resident_tiles < 1:
-            raise StorageError(
-                f"max_resident_tiles must be >= 1, got {max_resident_tiles}"
-            )
-        if max_resident_bytes is not None and max_resident_bytes < 1:
-            raise StorageError(
-                f"max_resident_bytes must be >= 1, got {max_resident_bytes}"
-            )
-        if spill_mode is not None and spill_mode not in SPILL_MODES:
-            raise StorageError(
-                f"unknown spill_mode {spill_mode!r}; choose one of {SPILL_MODES}"
-            )
-        if spill_mode == "mmap" and spill_dir is None:
-            raise StorageError(
-                "spill_mode='mmap' maps spilled tiles back from disk and "
-                "needs spill_dir set"
-            )
         self.n = n
         self.backend = "numpy" if use_numpy else "python"
-        self.dtype = dtype
-        self.block_size = block_size
-        self.workers = validate_workers(workers, StorageError)
-        self.parallel = validate_parallel(parallel, StorageError)
-        self.max_resident_tiles = max_resident_tiles
-        self.max_resident_bytes = max_resident_bytes
-        self.spill_dir = spill_dir
-        self.spill_mode = spill_mode or "file"
-        self.max_warm_pools = max_warm_pools
-        self.warm_pool_ttl = warm_pool_ttl
+        self.dtype = config.dtype or "float64"
+        self.block_size = config.block_size or DEFAULT_BLOCK_SIZE
+        self.config = config
         self._builder = builder
         self._pool_source = pool_source
-        self._nb = -(-n // block_size) if n else 0
+        self._nb = -(-n // self.block_size) if n else 0
         self._tiles: dict[tuple[int, int], object] = {}
         self._built_upper: set[tuple[int, int]] = set()
-        budgeted = max_resident_tiles is not None or max_resident_bytes is not None
+        budgeted = config.max_resident_tiles is not None or config.max_resident_bytes is not None
         self._lru: OrderedDict[tuple[int, int], int] | None = (
             OrderedDict() if budgeted else None
         )
         self._resident_bytes = 0
-        self._spilled: set[tuple[int, int]] = set()
         self._spill_path: str | None = None
         self._segment_offsets: dict[tuple[int, int], int] = {}
         self._segment_size = 0
@@ -590,9 +539,9 @@ class TiledStorage(KernelStorage):
         """A missing upper tile: spill-load it, rebuild an evicted one
         from the provider, or build it for the first time."""
         if (ui, uj) in self._built_upper:
-            if (ui, uj) in self._spilled:
+            if (ui, uj) in self._segment_offsets:
                 self._counters["spill_loads"] += 1
-                return self._load_spill(ui, uj)
+                return self._load_segment_tile(ui, uj)
             self._counters["rebuilds"] += 1
         return self._build_upper(ui, uj)
 
@@ -606,17 +555,11 @@ class TiledStorage(KernelStorage):
         return len(tile) * (len(tile[0]) if tile else 0) * 8
 
     def _over_budget(self) -> bool:
-        if (
-            self.max_resident_tiles is not None
-            and len(self._lru) > self.max_resident_tiles
-        ):
-            return True
-        if (
-            self.max_resident_bytes is not None
-            and self._resident_bytes > self.max_resident_bytes
-        ):
-            return True
-        return False
+        max_tiles = self.config.max_resident_tiles
+        max_bytes = self.config.max_resident_bytes
+        return (max_tiles is not None and len(self._lru) > max_tiles) or (
+            max_bytes is not None and self._resident_bytes > max_bytes
+        )
 
     def _evict_over_budget(self) -> None:
         # The newest tile always stays resident (its caller holds it),
@@ -627,41 +570,10 @@ class TiledStorage(KernelStorage):
             self._tiles.pop((bj, bi), None)
             self._resident_bytes -= nbytes
             self._counters["evictions"] += 1
-            if self.spill_dir is not None and (bi, bj) not in self._spilled:
-                self._write_spill(bi, bj, tile)
+            if self.config.spill_dir is not None and (bi, bj) not in self._segment_offsets:
+                self._append_segment(bi, bj, tile)
 
-    def _spill_file(self, bi: int, bj: int) -> str:
-        if self._spill_path is None:
-            os.makedirs(self.spill_dir, exist_ok=True)
-            self._spill_path = tempfile.mkdtemp(dir=self.spill_dir, prefix="tiles-")
-            weakref.finalize(self, shutil.rmtree, self._spill_path, True)
-        return os.path.join(self._spill_path, f"{bi}_{bj}.tile")
-
-    def _write_spill(self, bi: int, bj: int, tile) -> None:
-        if self.spill_mode == "mmap":
-            self._append_segment(bi, bj, tile)
-        elif self.backend == "numpy":
-            with open(self._spill_file(bi, bj), "wb") as fh:
-                fh.write(_np.ascontiguousarray(tile).tobytes())
-        else:
-            with open(self._spill_file(bi, bj), "wb") as fh:
-                pickle.dump(tile, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        self._spilled.add((bi, bj))
-        self._counters["spills"] += 1
-
-    def _load_spill(self, bi: int, bj: int):
-        if self.spill_mode == "mmap":
-            return self._load_segment_tile(bi, bj)
-        path = self._spill_file(bi, bj)
-        if self.backend == "numpy":
-            a0, a1 = self._bounds(bi)
-            b0, b1 = self._bounds(bj)
-            target = _np.float32 if self.dtype == "float32" else _np.float64
-            return _np.fromfile(path, dtype=target).reshape(a1 - a0, b1 - b0)
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-
-    # -- mmap spill segment ------------------------------------------------
+    # -- spill segment ------------------------------------------------------
 
     @property
     def _itemsize(self) -> int:
@@ -678,16 +590,19 @@ class TiledStorage(KernelStorage):
 
     def _segment_file(self) -> str:
         if self._spill_path is None:
-            self._spill_file(0, 0)  # creates the per-kernel spill dir
+            spill_dir = self.config.spill_dir
+            os.makedirs(spill_dir, exist_ok=True)
+            self._spill_path = tempfile.mkdtemp(dir=spill_dir, prefix="tiles-")
+            weakref.finalize(self, shutil.rmtree, self._spill_path, True)
         return os.path.join(self._spill_path, "segment.bin")
 
     def _append_segment(self, bi: int, bj: int, tile) -> None:
-        """Append one tile's IEEE bytes to the per-kernel segment file.
+        """Spill one evicted tile: append its IEEE bytes to the
+        per-kernel segment file.
 
         Both backends write the identical fixed-width little-endian
         layout (``<f`` for float32 tiles, ``<d`` for float64): that is
-        what makes a row slice *seekable* — the pure-Python pickle
-        format of ``spill_mode="file"`` can only come back whole."""
+        what makes a row slice *seekable* out of the segment."""
         rows, cols = self._tile_shape(bi, bj)
         if self.backend == "numpy":
             data = _np.ascontiguousarray(tile).tobytes()
@@ -698,6 +613,7 @@ class TiledStorage(KernelStorage):
             self._segment_offsets[(bi, bj)] = fh.tell()
             fh.write(data)
             self._segment_size = fh.tell()
+        self._counters["spills"] += 1
 
     def _segment_map(self):
         """The segment as a flat read-only ``np.memmap``, reopened when
@@ -736,9 +652,9 @@ class TiledStorage(KernelStorage):
 
     def _spilled_row(self, bi: int, bj: int, local: int):
         """Row ``local`` of logical tile ``(bi, bj)`` read straight out
-        of the mmap segment — or ``None`` when the fast path does not
-        apply (not in mmap mode, tile resident, or never spilled) and
-        the caller should take the resident-tile path.
+        of the spill segment — or ``None`` when the fast path does not
+        apply (tile resident, or never spilled) and the caller should
+        take the resident-tile path.
 
         A mirror tile (``bi > bj``) has no bytes of its own: its row
         ``local`` is column ``local`` of the spilled upper tile, read as
@@ -746,7 +662,7 @@ class TiledStorage(KernelStorage):
         (pure Python).  Values are the exact IEEE bytes the tile spilled
         with, so reads through the segment equal resident reads
         float for float."""
-        if self.spill_mode != "mmap" or (bi, bj) in self._tiles:
+        if (bi, bj) in self._tiles:
             return None
         ui, uj = (bi, bj) if bi <= bj else (bj, bi)
         if (ui, uj) not in self._segment_offsets or (ui, uj) in self._tiles:
@@ -815,57 +731,31 @@ class TiledStorage(KernelStorage):
         ]
         if not pending:
             return
-        workers = resolve_workers(self.workers)
+        workers = resolve_workers(self.config.workers)
         if (
-            workers > 1
+            self.backend == "python"
+            and workers > 1
             and len(pending) > 1
-            and self.parallel == "process"
             and self._pool_source is not None
             and self._ensure_all_process(pending, workers)
         ):
             return
-        if workers > 1 and len(pending) > 1:
-            # Diagonal tiles first, serially: they touch every row range
-            # once, so providers with per-row caches (feature vectors)
-            # warm them without worker threads racing to duplicate the
-            # GIL-bound cache fills.  The off-diagonal bulk — the
-            # GIL-releasing vectorized block kernels — then fans out
-            # over the pool; tile builds are independent and the dict
-            # writes all happen on this thread.
-            diagonal = [c for c in pending if c[0] == c[1]]
-            for bi, bj in diagonal:
-                self._store_upper(bi, bj, self._build_upper(bi, bj))
-            rest = [c for c in pending if c[0] != c[1]]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for (bi, bj), tile in zip(
-                    rest, pool.map(lambda c: self._build_upper(*c), rest)
-                ):
-                    self._store_upper(bi, bj, tile)
-        else:
-            for bi, bj in pending:
-                self._store_upper(bi, bj, self._build_upper(bi, bj))
+        for bi, bj in pending:
+            self._store_upper(bi, bj, self._build_upper(bi, bj))
 
     def _ensure_all_process(self, pending, workers: int) -> bool:
         """Fan the pending tile builds over a process pool.
 
         Returns False — leaving every pending tile untouched — when the
         scoring snapshot cannot ship to workers (unpicklable provider or
-        rows), so the caller degrades to the thread path.  Raw float64
-        blocks come back through shared memory (NumPy) or pickled lists
-        (pure Python) and are narrowed/stored here, on the calling
+        rows), so the caller builds serially.  Raw blocks come back as
+        pickled float lists and are narrowed/stored here, on the calling
         thread, exactly as a serial build would narrow them.  The pool
         itself comes from the warm registry: a digest hit skips the
-        fork + initializer cost, and ``close()`` leases it back warm.
+        spawn + initializer cost, and ``close()`` leases it back warm.
         """
         provider, answers = self._pool_source()
-        builder = acquire_tile_builder(
-            provider,
-            answers,
-            self.backend == "numpy",
-            workers,
-            max_warm_pools=self.max_warm_pools,
-            warm_pool_ttl=self.warm_pool_ttl,
-        )
+        builder = warm_pool_registry().acquire(provider, answers, workers)
         if builder is None:
             return False
         jobs = []
@@ -982,20 +872,7 @@ class TiledStorage(KernelStorage):
     ) -> "TiledStorage":
         m = len(old_of_new)
         new = TiledStorage(
-            m,
-            builder,
-            self.backend == "numpy",
-            self.block_size,
-            dtype=self.dtype,
-            workers=self.workers,
-            parallel=self.parallel,
-            max_resident_tiles=self.max_resident_tiles,
-            max_resident_bytes=self.max_resident_bytes,
-            spill_dir=self.spill_dir,
-            spill_mode=self.spill_mode,
-            max_warm_pools=self.max_warm_pools,
-            warm_pool_ttl=self.warm_pool_ttl,
-            pool_source=self._pool_source,
+            m, builder, self.backend == "numpy", self.config, self._pool_source
         )
         if not self.is_fully_built:
             # A partially-built grid is cheaper to re-derive lazily from
@@ -1090,7 +967,7 @@ class TiledStorage(KernelStorage):
         return (
             f"TiledStorage(n={self.n}, backend={self.backend}, dtype={self.dtype}, "
             f"block={self.block_size}, tiles={self.tiles_built}/{self.total_tiles}, "
-            f"workers={self.workers or 1}, parallel={self.parallel})"
+            f"workers={self.config.workers or 1})"
         )
 
 
@@ -1155,57 +1032,38 @@ class SketchedStorage:
         landmark_positions: Sequence[int],
         columns_builder: Callable[[int, int, Sequence[int]], object],
         use_numpy: bool,
-        block_size: int,
-        strategy: str,
-        workers: "int | str | None" = None,
-        parallel: str | None = None,
-        max_warm_pools: int | None = None,
-        warm_pool_ttl: float | None = None,
+        config: "EngineConfig",
         pool_source: Callable[[], tuple] | None = None,
     ) -> "SketchedStorage":
-        """Score the n×m landmark columns in row blocks.
+        """Score the n×m landmark columns in row blocks of
+        ``config.block_size`` rows.
 
         ``columns_builder(a0, a1, landmarks)`` returns the provider
         distance block of answer rows ``[a0:a1]`` against the landmark
-        rows — the kernel closes it over its snapshot.  ``workers`` > 1
-        fans the independent row blocks over the same pooled builders
-        the tiled grid uses (threads by default; ``parallel="process"``
-        with a picklable ``pool_source`` snapshot ships them across
-        cores) — block values are row-range-local, so assembly order
-        cannot change a float.
+        rows — the kernel closes it over its snapshot.  On the
+        pure-Python backend ``config.workers`` > 1 fans the independent
+        row blocks over the same warm process pools the tiled grid uses
+        when the ``pool_source`` snapshot pickles — block values are
+        row-range-local, so assembly order cannot change a float.
         """
-        workers = validate_workers(workers, StorageError)
-        parallel = validate_parallel(parallel, StorageError)
         landmarks = list(landmark_positions)
         if len(landmarks) >= n:
             # Clamp m >= n to "every row is a landmark": the sketch then
             # holds the full exact matrix and the bounds are exact, so
             # oversized sketch_columns never over-allocates or errors.
             landmarks = list(range(n))
+        block_size = config.block_size or DEFAULT_BLOCK_SIZE
         spans = [
             (a0, min(a0 + block_size, n)) for a0 in range(0, n, block_size)
         ]
-        resolved = resolve_workers(workers)
+        workers = resolve_workers(config.workers)
         blocks: dict[int, object] | None = None
-        if resolved > 1 and len(spans) > 1:
-            blocks = cls._pooled_column_blocks(
-                spans,
-                landmarks,
-                columns_builder,
-                use_numpy,
-                resolved,
-                parallel,
-                pool_source,
-                max_warm_pools=max_warm_pools,
-                warm_pool_ttl=warm_pool_ttl,
-            )
+        if not use_numpy and workers > 1 and len(spans) > 1 and pool_source is not None:
+            blocks = cls._pooled_column_blocks(spans, landmarks, workers, pool_source)
         if use_numpy:
             c = _np.empty((n, len(landmarks)), dtype=_np.float64)
             for a0, a1 in spans:
-                block = (
-                    blocks[a0] if blocks is not None else columns_builder(a0, a1, landmarks)
-                )
-                c[a0:a1, :] = _np.asarray(block, dtype=_np.float64)
+                c[a0:a1, :] = _np.asarray(columns_builder(a0, a1, landmarks), dtype=_np.float64)
         else:
             c = []
             for a0, a1 in spans:
@@ -1214,52 +1072,29 @@ class SketchedStorage:
                 )
                 for row in block:
                     c.append([float(v) for v in row])
-        return cls(n, landmarks, c, use_numpy, strategy)
+        return cls(n, landmarks, c, use_numpy, config.landmarks or "uniform")
 
     @staticmethod
     def _pooled_column_blocks(
-        spans,
-        landmarks,
-        columns_builder,
-        use_numpy: bool,
-        workers: int,
-        parallel: str,
-        pool_source,
-        max_warm_pools: int | None = None,
-        warm_pool_ttl: float | None = None,
-    ) -> dict[int, object]:
-        """Row-block → raw provider block, scored through a pool.
-
-        The process path degrades to threads when the snapshot cannot be
-        pickled, exactly like the tiled grid's build — and leases from
-        the same warm registry, so a sketch built right after the tiled
-        grid (or vice versa) reuses the already-initialized workers.
+        spans, landmarks, workers: int, pool_source
+    ) -> dict[int, object] | None:
+        """Row-block → raw provider block, scored through a process
+        pool, or ``None`` when the snapshot cannot ship (the caller
+        builds serially).  Leases from the same warm registry as the
+        tiled grid, so a sketch built right after the grid (or vice
+        versa) reuses the already-initialized workers.
         """
-        if parallel == "process" and pool_source is not None:
-            provider, answers = pool_source()
-            pool = acquire_tile_builder(
-                provider,
-                answers,
-                use_numpy,
-                workers,
-                max_warm_pools=max_warm_pools,
-                warm_pool_ttl=warm_pool_ttl,
-            )
-            if pool is not None:
-                out: dict[int, object] = {}
-                jobs = [
-                    (a0, ("cols", a0, a1, tuple(landmarks))) for a0, a1 in spans
-                ]
-                try:
-                    pool.build(jobs, lambda key, block: out.__setitem__(key, block))
-                finally:
-                    pool.close()
-                return out
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda span: columns_builder(span[0], span[1], landmarks), spans
-            )
-            return {a0: block for (a0, _a1), block in zip(spans, results)}
+        provider, answers = pool_source()
+        pool = warm_pool_registry().acquire(provider, answers, workers)
+        if pool is None:
+            return None
+        out: dict[int, object] = {}
+        jobs = [(a0, ("cols", a0, a1, tuple(landmarks))) for a0, a1 in spans]
+        try:
+            pool.build(jobs, out.__setitem__)
+        finally:
+            pool.close()
+        return out
 
     # -- shape ------------------------------------------------------------
 
@@ -1369,92 +1204,21 @@ class SketchedStorage:
 
 
 def make_storage(
-    kind: str,
     n: int,
     builder: BlockBuilder,
     use_numpy: bool,
-    block_size: int,
-    dtype: str = "float64",
-    workers: "int | str | None" = None,
-    parallel: str | None = None,
-    max_resident_tiles: int | None = None,
-    max_resident_bytes: int | None = None,
-    spill_dir: str | None = None,
-    spill_mode: str | None = None,
-    max_warm_pools: int | None = None,
-    warm_pool_ttl: float | None = None,
+    config: "EngineConfig",
     pool_source: Callable[[], tuple] | None = None,
 ) -> KernelStorage:
-    """The storage object behind one kernel's distance matrix.
+    """The storage object behind one kernel's distance matrix, as the
+    (already validated) ``config`` plans it.
 
     ``dense`` is eager, contiguous, float64-only (the historical layout
     and the parity baseline); ``tiled`` is lazy, blocked, dtype-aware,
-    optionally parallel (threads or processes) and optionally
-    memory-bounded (LRU tile budget + spill directory).  The float32 and
-    multicore/spilling knobs are deliberately rejected for dense storage:
-    they only pay when the matrix no longer has to exist as one
-    allocation, and keeping dense plain float64 preserves it as the
-    bit-exact reference every parity suite compares against.
-    ``workers="auto"`` is accepted everywhere (it resolves to the host
-    CPU count at build time, which for dense simply means "serial").
+    optionally multi-process and optionally memory-bounded (LRU tile
+    budget + spill segment).  ``sketched`` kernels keep their exact
+    reads on the same lazy tiled grid.
     """
-    if kind not in STORAGE_KINDS:
-        raise StorageError(
-            f"unknown storage kind {kind!r}; choose one of {STORAGE_KINDS}"
-        )
-    if kind == "sketched":
-        raise StorageError(
-            "storage='sketched' is a kernel plan, not a full-matrix "
-            "storage: the kernel pairs a SketchedStorage sidecar with a "
-            "lazy tiled grid for exact reads (see ScoringKernel.sketch)"
-        )
-    if dtype not in STORAGE_DTYPES:
-        raise StorageError(
-            f"unknown storage dtype {dtype!r}; choose one of {STORAGE_DTYPES}"
-        )
-    workers = validate_workers(workers, StorageError)
-    parallel = validate_parallel(parallel, StorageError)
-    if kind == "dense":
-        if dtype != "float64":
-            raise StorageError(
-                "dense storage is float64-only (the bit-exact parity "
-                "baseline); use storage='tiled' for dtype='float32'"
-            )
-        if isinstance(workers, int) and workers > 1:
-            raise StorageError(
-                "dense storage builds serially; use storage='tiled' for "
-                f"workers={workers}"
-            )
-        if parallel == "process":
-            raise StorageError(
-                "dense storage builds serially; use storage='tiled' for "
-                "parallel='process'"
-            )
-        if (
-            max_resident_tiles is not None
-            or max_resident_bytes is not None
-            or spill_dir is not None
-            or (spill_mode is not None and spill_mode != "file")
-        ):
-            raise StorageError(
-                "dense storage is one eager allocation and cannot spill; "
-                "use storage='tiled' for tile budgets / spill_dir / "
-                "spill_mode"
-            )
-        return DenseStorage(n, builder, use_numpy, block_size)
-    return TiledStorage(
-        n,
-        builder,
-        use_numpy,
-        block_size,
-        dtype=dtype,
-        workers=workers,
-        parallel=parallel,
-        max_resident_tiles=max_resident_tiles,
-        max_resident_bytes=max_resident_bytes,
-        spill_dir=spill_dir,
-        spill_mode=spill_mode,
-        max_warm_pools=max_warm_pools,
-        warm_pool_ttl=warm_pool_ttl,
-        pool_source=pool_source,
-    )
+    if (config.storage or "dense") == "dense":
+        return DenseStorage(n, builder, use_numpy, config.block_size or DEFAULT_BLOCK_SIZE)
+    return TiledStorage(n, builder, use_numpy, config, pool_source)

@@ -48,15 +48,46 @@ class RegistryError(LookupError):
     """Raised for unknown workload names (the service maps it to 404)."""
 
 
+#: Lower bounds of the numeric params: a corpus size below 1 has no
+#: meaningful instance behind it, and the generators' random streams
+#: take only non-negative seeds.
+_PARAM_MINIMUMS = {"n": 1, "num_docs": 1, "num_intents": 1, "num_topics": 1, "seed": 0}
+
+#: Default type → (accepted wire types, what the error message says).
+_PARAM_TYPES: dict[type, tuple[tuple[type, ...], str]] = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
 def _take(params: Mapping[str, Any], allowed: dict[str, Any], workload: str) -> dict:
     """Validate a wire params object against a workload's parameter
-    table (name → default) and return the merged values."""
+    table (name → default) and return the merged values.
+
+    Each value must have its default's type (ints for int defaults, any
+    number for float defaults; never a bool), corpus sizes must be
+    >= 1 and seeds >= 0 — so a malformed request is rejected here, naming the
+    parameter, rather than failing deep inside a generator."""
     unknown = sorted(set(params) - set(allowed))
     if unknown:
         raise ApiError(
             f"unknown parameter(s) {unknown} for workload {workload!r}; "
             f"allowed: {sorted(allowed)}"
         )
+    for name, value in params.items():
+        accepted, expected = _PARAM_TYPES[type(allowed[name])]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ApiError(
+                f"parameter {name!r} of workload {workload!r} must be "
+                f"{expected}, got {value!r}"
+            )
+        minimum = _PARAM_MINIMUMS.get(name)
+        if minimum is not None and value < minimum:
+            raise ApiError(
+                f"parameter {name!r} of workload {workload!r} must be "
+                f">= {minimum}, got {value!r}"
+            )
     merged = dict(allowed)
     merged.update(params)
     return merged

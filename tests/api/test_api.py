@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -173,14 +174,12 @@ class TestSketchedConfig:
 
 
 class TestMulticoreConfig:
-    """The multicore/memory-bounding knobs: ``workers="auto"``,
-    ``parallel``, the resident-tile budgets, and ``spill_dir``."""
+    """The multicore/memory-bounding knobs: ``workers="auto"``, the
+    resident-tile budgets, and ``spill_dir``."""
 
     def test_validation(self):
         EngineConfig(workers="auto").validate()  # symbolic; dense-safe
-        EngineConfig(
-            storage="tiled", workers="auto", parallel="process"
-        ).validate()
+        EngineConfig(storage="tiled", workers="auto").validate()
         EngineConfig(
             storage="tiled",
             max_resident_tiles=4,
@@ -190,10 +189,6 @@ class TestMulticoreConfig:
         # sketched kernels route exact reads through a tiled fallback,
         # so the budgets apply there too
         EngineConfig(storage="sketched", max_resident_tiles=4).validate()
-        with pytest.raises(ApiError, match="serially"):
-            EngineConfig(parallel="process").validate()
-        with pytest.raises(ApiError, match="unknown parallel"):
-            EngineConfig(storage="tiled", parallel="gpu").validate()
         with pytest.raises(ApiError, match="max_resident_tiles"):
             EngineConfig(storage="tiled", max_resident_tiles=0).validate()
         with pytest.raises(ApiError, match="cannot spill"):
@@ -201,17 +196,10 @@ class TestMulticoreConfig:
         with pytest.raises(ApiError, match="cannot spill"):
             EngineConfig(spill_dir="/tmp/tiles").validate()
 
-    def test_canonical_collapses_thread_default(self):
-        spelled = EngineConfig(storage="tiled", parallel="thread")
-        assert spelled.canonical() == EngineConfig(storage="tiled")
-        kept = EngineConfig(storage="tiled", parallel="process")
-        assert kept.canonical() == kept
-
     def test_round_trip(self):
         config = EngineConfig(
             storage="tiled",
             workers="auto",
-            parallel="process",
             max_resident_tiles=4,
             max_resident_bytes=1 << 20,
             spill_dir="/tmp/tiles",
@@ -226,11 +214,11 @@ class TestMulticoreConfig:
         add_engine_config_args(parser)
         args = parser.parse_args(
             ["--storage", "tiled", "--workers", "auto",
-             "--parallel", "process", "--max-resident-tiles", "4",
+             "--max-resident-tiles", "4",
              "--max-resident-bytes", "1048576", "--spill-dir", "/tmp/tiles"]
         )
         expected = EngineConfig(
-            storage="tiled", workers="auto", parallel="process",
+            storage="tiled", workers="auto",
             max_resident_tiles=4, max_resident_bytes=1048576,
             spill_dir="/tmp/tiles",
         )
@@ -238,7 +226,6 @@ class TestMulticoreConfig:
         env = {
             "REPRO_STORAGE": "tiled",
             "REPRO_WORKERS": "auto",
-            "REPRO_PARALLEL": "process",
             "REPRO_MAX_RESIDENT_TILES": "4",
             "REPRO_MAX_RESIDENT_BYTES": "1048576",
             "REPRO_SPILL_DIR": "/tmp/tiles",
@@ -252,41 +239,75 @@ class TestMulticoreConfig:
             parser.parse_args(["--workers", "many"])
 
 
-class TestEngineConfigShim:
-    def test_loose_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            engine = DiversificationEngine(storage="tiled", workers=2)
-        assert engine.config == EngineConfig(storage="tiled", workers=2)
-        assert engine.storage == "tiled"
-        assert engine.workers == 2
+#: One non-default value per EngineConfig field.  Keyed by field name so
+#: a field added to EngineConfig fails the round-trip tests below until
+#: it has a sample here — and therefore a flag and an env variable.
+FIELD_SAMPLES = {
+    "storage": "tiled",
+    "dtype": "float32",
+    "workers": 3,
+    "max_resident_tiles": 4,
+    "max_resident_bytes": 4096,
+    "spill_dir": "/tmp/tiles",
+    "block_size": 32,
+    "patch_threshold": 0.25,
+    "cache_size": 3,
+    "sketch_columns": 12,
+    "landmarks": "farthest",
+    "approx": True,
+}
 
-    def test_config_path_does_not_warn(self, recwarn):
-        engine = DiversificationEngine(
-            config=EngineConfig(storage="tiled", workers=2)
-        )
-        assert engine.storage == "tiled"
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
 
-    def test_config_and_loose_conflict(self):
-        with pytest.raises(EngineError, match="not both"):
-            DiversificationEngine(storage="tiled", config=EngineConfig())
+class TestEveryFieldRoundTrips:
+    def test_samples_cover_every_field(self):
+        assert set(FIELD_SAMPLES) == {spec.name for spec in fields(EngineConfig)}
+        assert len(FIELD_SAMPLES) == 12
 
-    def test_shim_parity_float_for_float(self, instance):
-        """Old loose kwargs and the config path agree exactly."""
-        with pytest.warns(DeprecationWarning):
-            old = DiversificationEngine(
-                storage="tiled", dtype="float32", workers=2, cache_size=2
-            )
-        new = DiversificationEngine(
+    @pytest.mark.parametrize("spec", fields(EngineConfig), ids=lambda f: f.name)
+    def test_from_env(self, spec):
+        value = FIELD_SAMPLES[spec.name]
+        assert value != getattr(EngineConfig(), spec.name)
+        env = {f"REPRO_{spec.name.upper()}": str(value)}
+        assert getattr(EngineConfig.from_env(env), spec.name) == value
+
+    @pytest.mark.parametrize("spec", fields(EngineConfig), ids=lambda f: f.name)
+    def test_from_args(self, spec):
+        value = FIELD_SAMPLES[spec.name]
+        parser = argparse.ArgumentParser()
+        add_engine_config_args(parser)
+        flag = "--" + spec.name.replace("_", "-")
+        argv = [flag] if value is True else [flag, str(value)]
+        config = EngineConfig.from_args(parser.parse_args(argv))
+        assert getattr(config, spec.name) == value
+
+
+class TestEngineConstruction:
+    def test_config_is_the_policy(self):
+        config = EngineConfig(storage="tiled", workers=2)
+        engine = DiversificationEngine(config=config)
+        assert engine.config is config
+
+    def test_default_config(self):
+        assert DiversificationEngine().config == EngineConfig()
+
+    def test_loose_policy_kwargs_are_gone(self):
+        with pytest.raises(TypeError):
+            DiversificationEngine(storage="tiled")
+
+    def test_config_path_float_for_float(self, instance):
+        """A tiled float32 engine built from a config selects the same
+        rows as the dense default engine."""
+        dense = DiversificationEngine()
+        tiled = DiversificationEngine(
             config=EngineConfig(
                 storage="tiled", dtype="float32", workers=2, cache_size=2
             )
         )
-        a = old.run(instance)
-        b = new.run(instance)
-        assert a.value == b.value
+        a = dense.run(instance)
+        b = tiled.run(instance)
         assert a.rows == b.rows
         assert a.indices == b.indices
+        assert a.value == pytest.approx(b.value, rel=1e-5)
 
     def test_invalid_config_raises_engine_error(self):
         with pytest.raises(EngineError, match="float64-only"):

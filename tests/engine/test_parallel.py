@@ -4,16 +4,17 @@ The multicore layer (:mod:`repro.engine.parallel`) and the tile-budget
 layer in :class:`~repro.engine.storage.TiledStorage` are pure
 performance features — neither may move a float.  These tests pin that:
 
-* process-built tiles are **element-wise identical** to the serial
-  build across backends × dtypes × block sizes, and stay identical
-  through ``apply_delta`` patches;
-* closure-based providers (unpicklable snapshots) degrade to the
-  thread path silently and correctly;
+* process-built tiles (pure-Python backend, ``workers`` > 1) are
+  **element-wise identical** to the serial build across dtypes × block
+  sizes, and stay identical through ``apply_delta`` patches; the NumPy
+  backend builds serially whatever ``workers`` says;
+* closure-based providers (unpicklable snapshots) fall back to the
+  serial build silently and correctly;
 * a spilling grid (``max_resident_tiles`` / ``max_resident_bytes``,
   with or without ``spill_dir``) answers every read exactly like an
   unbounded one, while actually holding resident tiles at the budget;
-* ``spill_mode="mmap"`` row reads come back byte-identical to the
-  rehydrate-whole-tiles path on both backends and dtypes;
+* row reads served out of the spill segment come back byte-identical
+  to an unbounded grid on both backends and dtypes;
 * the warm pool registry leases byte-identical snapshots only — hit/
   miss/evict/TTL/invalidate lifecycle, ``apply_delta`` invalidation,
   and float-identical warm-vs-cold builds;
@@ -23,23 +24,20 @@ performance features — neither may move a float.  These tests pin that:
 
 import pytest
 
+from repro.api import ApiError, EngineConfig
 from repro.core.functions import DistanceFunction, RelevanceFunction
 from repro.core.objectives import Objective, ObjectiveKind
 from repro.engine import (
-    PARALLEL_MODES,
     KernelError,
     ScoringKernel,
     TiledStorage,
     available_cpus,
     numpy_available,
     resolve_workers,
-    supports_process_pool,
 )
 from repro.engine.parallel import (
     ProcessTileBuilder,
     WarmPoolRegistry,
-    validate_parallel,
-    validate_workers,
     warm_pool_registry,
 )
 from repro.workloads.synthetic import random_instance
@@ -49,7 +47,7 @@ BACKENDS = [False] + ([True] if numpy_available() else [])
 
 def tiled_kernel(instance, use_numpy, **knobs):
     knobs.setdefault("storage", "tiled")
-    return ScoringKernel(instance, use_numpy=use_numpy, **knobs)
+    return ScoringKernel(instance, use_numpy=use_numpy, config=EngineConfig(**knobs))
 
 
 def closure_instance(n=14, k=4, seed=5):
@@ -84,18 +82,19 @@ def assert_matrices_equal(expected, actual):
 
 class TestKnobs:
     def test_validate_workers_passthrough(self):
-        assert validate_workers(None) is None
-        assert validate_workers("auto") == "auto"
-        assert validate_workers(3) == 3
+        for workers in (None, "auto", 3):
+            config = EngineConfig(storage="tiled", workers=workers)
+            assert config.validate().workers == workers
 
     @pytest.mark.parametrize("bad", [0, -1, True, 2.5, "many"])
     def test_validate_workers_rejects(self, bad):
-        with pytest.raises(ValueError):
-            validate_workers(bad)
+        with pytest.raises(ApiError, match="workers"):
+            EngineConfig(storage="tiled", workers=bad).validate()
 
     def test_validate_workers_custom_error(self):
-        with pytest.raises(KernelError):
-            validate_workers(0, KernelError)
+        instance = random_instance(n=8, k=3, seed=1)
+        with pytest.raises(KernelError, match="workers"):
+            tiled_kernel(instance, False, workers=0)
 
     def test_resolve_workers(self):
         assert resolve_workers(None) == 1
@@ -103,23 +102,12 @@ class TestKnobs:
         assert resolve_workers("auto") == available_cpus()
         assert available_cpus() >= 1
 
-    def test_validate_parallel(self):
-        assert validate_parallel(None) == "thread"
-        for mode in PARALLEL_MODES:
-            assert validate_parallel(mode) == mode
-        with pytest.raises(ValueError):
-            validate_parallel("gpu")
-        with pytest.raises(KernelError):
-            validate_parallel("gpu", KernelError)
-
-    def test_kernel_accepts_auto_and_rejects_bad_modes(self):
+    def test_kernel_accepts_auto_and_rejects_dense_workers(self):
         instance = random_instance(n=8, k=3, seed=1)
         kernel = tiled_kernel(instance, False, workers="auto")
-        assert kernel.workers == "auto"
-        with pytest.raises(KernelError):
-            tiled_kernel(instance, False, parallel="gpu")
-        with pytest.raises(KernelError):
-            ScoringKernel(instance, use_numpy=False, parallel="process")
+        assert kernel.config.workers == "auto"
+        with pytest.raises(KernelError, match="serially"):
+            tiled_kernel(instance, False, storage="dense", workers=2)
 
 
 class TestProcessParity:
@@ -141,7 +129,6 @@ class TestProcessParity:
             block_size=block_size,
             dtype=dtype,
             workers=2,
-            parallel="process",
         )
         serial.materialize_all()
         pooled.materialize_all()
@@ -155,7 +142,7 @@ class TestProcessParity:
         )
         serial = tiled_kernel(instance, use_numpy, block_size=5)
         pooled = tiled_kernel(
-            instance, use_numpy, block_size=5, workers=2, parallel="process"
+            instance, use_numpy, block_size=5, workers=2
         )
         serial.materialize_all()
         pooled.materialize_all()
@@ -167,32 +154,22 @@ class TestProcessParity:
         assert pooled.answers == serial.answers
         assert_matrices_equal(serial, pooled)
 
-    def test_supports_process_pool_probe(self):
-        instance = random_instance(n=9, k=3, seed=4)
-        provider = instance.objective.provider
-        assert supports_process_pool(provider, instance.answers())
-        closed = closure_instance()
-        kernel = ScoringKernel(closed, use_numpy=False)
-        assert not supports_process_pool(
-            kernel.provider, closed.answers()
-        )
-
     def test_builder_refuses_unpicklable_snapshot(self):
         closed = closure_instance()
         kernel = ScoringKernel(closed, use_numpy=False)
         builder = ProcessTileBuilder.create(
-            kernel.provider, tuple(closed.answers()), False, 2
+            kernel.provider, tuple(closed.answers()), 2
         )
         assert builder is None
 
     @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_closure_provider_degrades_to_threads(self, use_numpy):
-        """parallel='process' on an unpicklable snapshot must build the
-        exact grid anyway (silently, through the thread path)."""
+    def test_closure_provider_degrades_to_serial(self, use_numpy):
+        """workers > 1 on an unpicklable snapshot must build the exact
+        grid anyway (silently, through the serial path)."""
         instance = closure_instance()
         serial = tiled_kernel(instance, use_numpy, block_size=4)
         pooled = tiled_kernel(
-            instance, use_numpy, block_size=4, workers=2, parallel="process"
+            instance, use_numpy, block_size=4, workers=2
         )
         serial.materialize_all()
         pooled.materialize_all()
@@ -247,8 +224,10 @@ class TestSpilling:
         assert_matrices_equal(dense, spilled)
         stats = spilled.storage_stats()
         assert stats["spills"] > 0
-        assert stats["spill_loads"] > 0
-        assert stats["rebuilds"] == 0  # spilled tiles load, never rescore
+        # Spilled tiles come back off the segment — whole (spill_loads)
+        # or as row windows (mmap_reads) — and are never rescored.
+        assert stats["spill_loads"] + stats["mmap_reads"] > 0
+        assert stats["rebuilds"] == 0
         assert list(tmp_path.iterdir()), "spill_dir holds no tile files"
 
     def test_storage_stats_surface(self):
@@ -291,7 +270,6 @@ class TestSpilling:
             use_numpy,
             block_size=4,
             workers=2,
-            parallel="process",
             max_resident_tiles=2,
         )
         kernel.materialize_all()
@@ -304,7 +282,7 @@ class TestMmapSpill:
     @pytest.mark.parametrize("dtype", [None, "float32"])
     def test_mmap_reads_exactly(self, use_numpy, dtype, tmp_path):
         """Row and scalar reads off mapped segment windows hold the
-        same bytes the rehydrate-whole-tiles grid holds."""
+        same bytes an unbounded grid holds."""
         instance = random_instance(
             n=17, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=2
         )
@@ -316,7 +294,6 @@ class TestMmapSpill:
             dtype=dtype,
             max_resident_tiles=2,
             spill_dir=str(tmp_path),
-            spill_mode="mmap",
         )
         plain.materialize_all()
         mapped.materialize_all()
@@ -349,30 +326,14 @@ class TestMmapSpill:
             block_size=4,
             max_resident_tiles=2,
             spill_dir=str(tmp_path),
-            spill_mode="mmap",
         )
         mapped.materialize_all()
         assert_matrices_equal(dense, mapped)
 
-    def test_mmap_requires_spill_dir(self):
-        instance = random_instance(n=8, k=3, seed=1)
-        with pytest.raises(KernelError, match="spill_dir"):
-            tiled_kernel(instance, False, spill_mode="mmap")
-
-    def test_unknown_spill_mode_rejected(self):
-        instance = random_instance(n=8, k=3, seed=1)
-        with pytest.raises(KernelError, match="spill_mode"):
-            tiled_kernel(instance, False, spill_mode="tape", spill_dir="/tmp")
-
-    def test_dense_rejects_spill_mode(self, tmp_path):
+    def test_dense_rejects_spill_dir(self, tmp_path):
         instance = random_instance(n=8, k=3, seed=1)
         with pytest.raises(KernelError, match="dense"):
-            ScoringKernel(
-                instance,
-                use_numpy=False,
-                spill_dir=str(tmp_path),
-                spill_mode="mmap",
-            )
+            tiled_kernel(instance, False, storage="dense", spill_dir=str(tmp_path))
 
 
 class FakeClock:
@@ -401,10 +362,10 @@ class TestWarmPools:
     def test_miss_then_hit_reuses_executor(self):
         registry = WarmPoolRegistry(max_pools=2, ttl=100.0, clock=FakeClock())
         provider, answers = _snapshot(seed=1)
-        first = registry.acquire(provider, answers, False, 2)
+        first = registry.acquire(provider, answers, 2)
         executor = first._executor
         first.close()
-        second = registry.acquire(provider, answers, False, 2)
+        second = registry.acquire(provider, answers, 2)
         assert second._executor is executor
         second.close()
         stats = registry.stats()
@@ -415,8 +376,8 @@ class TestWarmPools:
     def test_leased_pool_bypasses_to_cold(self):
         registry = WarmPoolRegistry(max_pools=2, ttl=100.0, clock=FakeClock())
         provider, answers = _snapshot(seed=2)
-        first = registry.acquire(provider, answers, False, 2)
-        second = registry.acquire(provider, answers, False, 2)
+        first = registry.acquire(provider, answers, 2)
+        second = registry.acquire(provider, answers, 2)
         assert second._executor is not first._executor
         assert registry.stats()["bypasses"] == 1
         second.close()  # cold builder: owns and shuts down its pool
@@ -428,7 +389,7 @@ class TestWarmPools:
         registry = WarmPoolRegistry(max_pools=1, ttl=100.0, clock=FakeClock())
         for seed in (3, 4):
             provider, answers = _snapshot(seed=seed)
-            registry.acquire(provider, answers, False, 2).close()
+            registry.acquire(provider, answers, 2).close()
         stats = registry.stats()
         assert stats["evictions"] == 1 and stats["pools"] == 1
         registry.clear()
@@ -437,13 +398,13 @@ class TestWarmPools:
         clock = FakeClock()
         registry = WarmPoolRegistry(max_pools=4, ttl=60.0, clock=clock)
         provider, answers = _snapshot(seed=5)
-        registry.acquire(provider, answers, False, 2).close()
+        registry.acquire(provider, answers, 2).close()
         clock.advance(61.0)
         registry.reap()
         stats = registry.stats()
         assert stats["expirations"] == 1 and stats["pools"] == 0
         # The next acquire is a fresh miss, not a stale hit.
-        registry.acquire(provider, answers, False, 2).close()
+        registry.acquire(provider, answers, 2).close()
         assert registry.stats()["misses"] == 2
         registry.clear()
 
@@ -451,22 +412,13 @@ class TestWarmPools:
         registry = WarmPoolRegistry(max_pools=4, ttl=100.0, clock=FakeClock())
         provider, answers = _snapshot(seed=6)
         other_provider, other_answers = _snapshot(seed=7)
-        registry.acquire(provider, answers, False, 2).close()
-        registry.acquire(other_provider, other_answers, False, 2).close()
+        registry.acquire(provider, answers, 2).close()
+        registry.acquire(other_provider, other_answers, 2).close()
         assert registry.invalidate(provider) == 1
         stats = registry.stats()
         assert stats["invalidations"] == 1 and stats["pools"] == 1
-        registry.acquire(provider, answers, False, 2).close()
+        registry.acquire(provider, answers, 2).close()
         assert registry.stats()["misses"] == 3
-        registry.clear()
-
-    def test_zero_limit_bypasses_registry(self):
-        registry = WarmPoolRegistry(max_pools=4, ttl=100.0, clock=FakeClock())
-        provider, answers = _snapshot(seed=8)
-        builder = registry.acquire(provider, answers, False, 2, max_pools=0)
-        builder.close()
-        stats = registry.stats()
-        assert stats["bypasses"] == 1 and stats["pools"] == 0
         registry.clear()
 
     def test_unpicklable_snapshot_returns_none(self):
@@ -474,7 +426,7 @@ class TestWarmPools:
         closed = closure_instance()
         kernel = ScoringKernel(closed, use_numpy=False)
         assert (
-            registry.acquire(kernel.provider, tuple(closed.answers()), False, 2)
+            registry.acquire(kernel.provider, tuple(closed.answers()), 2)
             is None
         )
         assert len(registry) == 0
@@ -486,7 +438,7 @@ class TestWarmPools:
             n=16, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=11
         )
         kernel = tiled_kernel(
-            instance, False, block_size=4, workers=2, parallel="process"
+            instance, False, block_size=4, workers=2
         )
         try:
             kernel.materialize_all()
@@ -500,25 +452,32 @@ class TestWarmPools:
     @pytest.mark.parametrize("use_numpy", BACKENDS)
     def test_warm_build_floats_equal_cold(self, use_numpy):
         """The second (warm) build holds exactly the floats of the first
-        (cold) build and of a serial build — on both backends."""
+        (cold) build and of a serial build — on both backends.  The
+        NumPy backend builds serially, so it never touches the
+        registry."""
         registry = warm_pool_registry()
         registry.clear()
         instance = random_instance(
             n=19, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=12
         )
+        before = registry.stats()
         try:
             serial = tiled_kernel(instance, use_numpy, block_size=5)
             serial.materialize_all()
             cold = tiled_kernel(
-                instance, use_numpy, block_size=5, workers=2, parallel="process"
+                instance, use_numpy, block_size=5, workers=2
             )
             cold.materialize_all()
-            assert registry.stats()["misses"] >= 1
             warm = tiled_kernel(
-                instance, use_numpy, block_size=5, workers=2, parallel="process"
+                instance, use_numpy, block_size=5, workers=2
             )
             warm.materialize_all()
-            assert registry.stats()["hits"] >= 1
+            after = registry.stats()
+            traffic = {key: after[key] - before[key] for key in ("misses", "hits", "bypasses")}
+            if use_numpy:
+                assert traffic == {"misses": 0, "hits": 0, "bypasses": 0}
+            else:
+                assert traffic["misses"] >= 1 and traffic["hits"] >= 1
             assert_matrices_equal(serial, cold)
             assert_matrices_equal(serial, warm)
         finally:
@@ -539,18 +498,12 @@ class TestSketchPooled:
         serial = ScoringKernel(
             instance,
             use_numpy=use_numpy,
-            storage="sketched",
-            sketch_columns=5,
-            block_size=4,
+            config=EngineConfig(storage="sketched", sketch_columns=5, block_size=4),
         )
         pooled = ScoringKernel(
             instance,
             use_numpy=use_numpy,
-            storage="sketched",
-            sketch_columns=5,
-            block_size=4,
-            workers=2,
-            parallel="process",
+            config=EngineConfig(storage="sketched", sketch_columns=5, block_size=4, workers=2),
         )
         a, b = serial.sketch(), pooled.sketch()
         assert b.landmark_positions == a.landmark_positions

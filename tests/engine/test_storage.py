@@ -12,7 +12,7 @@ the contract:
 * tiled float32 stays inside the documented relative-error envelope and
   still reproduces the pinned selections of every registered algorithm;
 * tiled storage is actually lazy (tiles appear on first touch, never at
-  construction) and the parallel build produces the identical grid.
+  construction) and the multi-worker build produces the identical grid.
 """
 
 import json
@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.incremental import early_termination_top_k
+from repro.api import EngineConfig
 from repro.core.objectives import ObjectiveKind
 from repro.engine import (
     ALGORITHMS,
@@ -53,10 +54,7 @@ def tiled_kernel(instance, use_numpy, block_size=5, dtype=None, workers=None):
     return ScoringKernel(
         instance,
         use_numpy=use_numpy,
-        storage="tiled",
-        block_size=block_size,
-        dtype=dtype,
-        workers=workers,
+        config=EngineConfig(storage="tiled", block_size=block_size, dtype=dtype, workers=workers),
     )
 
 
@@ -279,46 +277,52 @@ def test_tiled_float32_matches_pinned_selections(pin, use_numpy):
     assert [list(row.values) for row in result[1]] == pin["rows"]
 
 
+def kernel_with(instance, **knobs):
+    return ScoringKernel(instance, use_numpy=False, config=EngineConfig(**knobs))
+
+
 class TestValidation:
-    def test_dense_rejects_float32(self):
-        instance = random_instance(n=5, k=2)
-        with pytest.raises(KernelError):
-            ScoringKernel(instance, use_numpy=False, dtype="float32")
-
-    def test_unknown_storage_and_dtype(self):
-        instance = random_instance(n=5, k=2)
-        with pytest.raises(KernelError):
-            ScoringKernel(instance, use_numpy=False, storage="sparse")
-        with pytest.raises(KernelError):
-            ScoringKernel(
-                instance, use_numpy=False, storage="tiled", dtype="float16"
-            )
-
-    def test_bad_workers(self):
-        instance = random_instance(n=5, k=2)
-        with pytest.raises(KernelError):
-            ScoringKernel(instance, use_numpy=False, storage="tiled", workers=0)
-
-    def test_dense_rejects_parallel_workers(self):
-        """workers>1 on dense would be silently serial — reject it like
-        the dtype knob instead (workers=1 is the harmless default)."""
-        instance = random_instance(n=5, k=2)
-        with pytest.raises(KernelError):
-            ScoringKernel(instance, use_numpy=False, workers=4)
-        kernel = ScoringKernel(instance, use_numpy=False, workers=1)
+    def test_dense_accepts_single_worker(self):
+        """workers=1 is the harmless default, so dense storage takes it
+        (workers>1 on dense would be silently serial and is rejected)."""
+        kernel = kernel_with(random_instance(n=5, k=2), workers=1)
         assert kernel.storage_kind == "dense"
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(dtype="float32"),
+            dict(storage="sparse"),
+            dict(storage="tiled", dtype="float16"),
+            dict(storage="tiled", workers=0),
+            dict(workers=4),
+            dict(storage="tiled", max_resident_tiles=0),
+            dict(spill_dir="/tmp/tiles"),
+            dict(landmarks="uniform"),
+            dict(approx=True),
+        ],
+    )
+    def test_kernel_error_carries_config_message(self, knobs):
+        """The kernel does not re-check knobs: a bad config surfaces as
+        KernelError with exactly EngineConfig.validate()'s message."""
+        config = EngineConfig(**knobs)
+        with pytest.raises(ValueError) as expected:
+            config.validate()
+        instance = random_instance(n=5, k=2)
+        with pytest.raises(KernelError) as raised:
+            ScoringKernel(instance, use_numpy=False, config=config)
+        assert str(raised.value) == str(expected.value)
+
     def test_engine_knob_validation(self):
-        with pytest.raises(EngineError):
-            DiversificationEngine(storage="sparse")
-        with pytest.raises(EngineError):
-            DiversificationEngine(dtype="float16")
-        with pytest.raises(EngineError):
-            DiversificationEngine(dtype="float32")  # dense default
-        with pytest.raises(EngineError):
-            DiversificationEngine(storage="tiled", workers=0)
-        with pytest.raises(EngineError):
-            DiversificationEngine(workers=4)  # dense default, silent no-op
+        for knobs in (
+            dict(storage="sparse"),
+            dict(dtype="float16"),
+            dict(dtype="float32"),  # dense default
+            dict(storage="tiled", workers=0),
+            dict(workers=4),  # dense default, silent no-op
+        ):
+            with pytest.raises(EngineError):
+                DiversificationEngine(config=EngineConfig(**knobs))
 
 
 class TestEngineThreading:
@@ -330,16 +334,13 @@ class TestEngineThreading:
         dense_engine = DiversificationEngine(use_numpy=use_numpy)
         tiled_engine = DiversificationEngine(
             use_numpy=use_numpy,
-            storage="tiled",
-            dtype="float32",
-            workers=2,
-            block_size=4,
+            config=EngineConfig(storage="tiled", dtype="float32", workers=2, block_size=4),
         )
         dense_result = dense_engine.run(instance)
         tiled_result = tiled_engine.run(instance)
         kernel = tiled_engine.kernel_for(instance)
         assert kernel.storage_kind == "tiled"
         assert kernel.dtype == "float32"
-        assert kernel.workers == 2
+        assert kernel.config is tiled_engine.config
         assert tiled_result.rows == dense_result.rows
         assert tiled_result.value == pytest.approx(dense_result.value, rel=1e-5)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.core.objectives import ObjectiveKind
 from repro.engine import (
     ALGORITHMS,
@@ -91,7 +92,8 @@ def test_spilling_kernel_matches_pins(pin):
     selection survives tiles being evicted and rebuilt mid-selection."""
     instance = pin_instance(pin)
     kernel = ScoringKernel(
-        instance, storage="tiled", block_size=16, max_resident_tiles=2
+        instance,
+        config=EngineConfig(storage="tiled", block_size=16, max_resident_tiles=2),
     )
     if pin["algorithm"] == "early_termination_top_k":
         result = early_termination_top_k(instance, kernel=kernel)
@@ -109,31 +111,46 @@ def _drain_warm_pools():
     warm_pool_registry().clear()
 
 
+def _registry_leases():
+    stats = warm_pool_registry().stats()
+    return stats["hits"] + stats["misses"] + stats["bypasses"]
+
+
+@pytest.mark.parametrize("use_numpy", BACKENDS)
 @pytest.mark.parametrize("pin", PINS, ids=pin_id)
-def test_warm_mmap_kernel_matches_pins(pin, tmp_path):
-    """The full warm path — tiles built through a process pool leased
-    from the warm registry, then spilled to an mmap-backed segment under
-    a tight resident budget — is still the same substrate.  Pins are
-    grouped by instance, so consecutive pins lease the pool the
-    previous build left behind (one spawn per distinct snapshot)."""
+def test_warm_mmap_kernel_matches_pins(pin, use_numpy, tmp_path):
+    """The full warm path — tiles built under ``workers=2``, then
+    spilled to the segment file under a tight resident budget — is
+    still the same substrate on both backends.  The pure-Python backend
+    leases its build from the warm process-pool registry (pins are
+    grouped by instance, so consecutive pins lease the pool the previous
+    build left behind: one spawn per distinct snapshot); the NumPy
+    backend builds serially and never touches the registry, but still
+    reads every evicted tile back out of the segment."""
     instance = pin_instance(pin)
     kernel = ScoringKernel(
         instance,
-        storage="tiled",
-        block_size=4,
-        max_resident_tiles=2,
-        spill_dir=str(tmp_path),
-        spill_mode="mmap",
-        workers=2,
-        parallel="process",
+        use_numpy=use_numpy,
+        config=EngineConfig(
+            storage="tiled",
+            block_size=4,
+            max_resident_tiles=2,
+            spill_dir=str(tmp_path),
+            workers=2,
+        ),
     )
+    leases = _registry_leases()
     kernel.materialize_all()
+    leased = _registry_leases() - leases
+    assert leased == (0 if use_numpy else 1)
+    assert kernel.storage_stats()["spills"] > 0
     if pin["algorithm"] == "early_termination_top_k":
         result = early_termination_top_k(instance, kernel=kernel)
         assert result.consumed == pin["consumed"]
         check(pin, (result.value, result.selected))
-        return
-    check(pin, ALGORITHMS[pin["algorithm"]](instance, kernel))
+    else:
+        check(pin, ALGORITHMS[pin["algorithm"]](instance, kernel))
+    assert kernel.storage_stats()["rebuilds"] == 0
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ same stdlib-only stack the CI smoke job uses.
 import asyncio
 import json
 
+import pytest
+
 from repro.service.core import DiversificationService, ServiceConfig
 from repro.service.http import ServiceServer
 
@@ -166,6 +168,30 @@ class TestErrorMapping:
         assert s2 == 400
         assert s3 == 400  # static workload has no update feed
         assert "update feed" in body3["error"]
+
+    @pytest.mark.parametrize(
+        ("workload", "params", "expected"),
+        [
+            ("synthetic", {"n": "abc"}, "'n' of workload 'synthetic' must be an integer"),
+            ("corpus", {"num_docs": 0}, "'num_docs' of workload 'corpus' must be >= 1"),
+            ("synthetic", {"n": -5}, "'n' of workload 'synthetic' must be >= 1"),
+            ("corpus", {"seed": -1}, "'seed' of workload 'corpus' must be >= 0"),
+        ],
+        ids=["non-integer-size", "zero-corpus-size", "negative-size", "negative-seed"],
+    )
+    def test_bad_workload_param_400(self, workload, params, expected):
+        """Malformed registry params are rejected up front, naming the
+        parameter, instead of failing inside a generator (a 500) or
+        silently building an infeasible instance."""
+
+        async def go(service, port):
+            return await http(
+                port, "POST", "/diversify", {"workload": workload, "params": params}
+            )
+
+        status, payload = scenario(go)
+        assert status == 400
+        assert expected in payload["error"]
 
     def test_method_not_allowed_405(self):
         async def go(service, port):
